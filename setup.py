@@ -26,8 +26,8 @@ setup(
     packages=find_packages(where="src"),
     package_dir={"": "src"},
     python_requires=">=3.10",
-    # scipy powers the sparse nodal solver; the solver degrades gracefully to
-    # its dense backend when scipy is unavailable.
+    # scipy is required: it powers the sparse nodal solver (SuperLU) and the
+    # thermal finite-difference solver.
     install_requires=["numpy>=1.20", "scipy>=1.8"],
     extras_require={
         "test": ["pytest>=7", "pytest-benchmark>=4", "hypothesis>=6"],

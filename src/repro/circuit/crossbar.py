@@ -34,7 +34,7 @@ from ..errors import ConfigurationError, DeviceModelError, GeometryError
 from ..thermal.coupling import AnalyticCouplingModel, CouplingModel
 from .crosstalk_hub import CrosstalkHub
 from .drivers import BiasPattern
-from .netlist import CrossbarNetlist, build_crossbar_netlist
+from .netlist import CrossbarNetlist, shared_crossbar_netlist
 from .solver import CrossbarSolver, OperatingPoint
 
 Cell = Tuple[int, int]
@@ -80,7 +80,7 @@ class CrossbarArray:
         if ambient_temperature_k <= 0:
             raise ConfigurationError("ambient temperature must be positive")
         self.ambient_temperature_k = ambient_temperature_k
-        self.netlist: CrossbarNetlist = build_crossbar_netlist(self.geometry, self.wires)
+        self.netlist: CrossbarNetlist = shared_crossbar_netlist(self.geometry, self.wires)
         self.solver = CrossbarSolver(self.netlist, self.model)
         self.hub = CrosstalkHub(coupling, ambient_temperature_k, backend=crosstalk_backend)
         pristine = self.model.hrs_state(ambient_temperature_k)

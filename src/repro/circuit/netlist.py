@@ -9,9 +9,12 @@ their output resistance, so line loading and IR drop are captured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +76,9 @@ class CrossbarNetlist:
     resistors: List[Resistor] = field(default_factory=list)
     devices: List[CrosspointDevice] = field(default_factory=list)
     drivers: List[DriverPort] = field(default_factory=list)
+    #: Nodal-matrix template of the solvers of this netlist, built by the
+    #: first :class:`~repro.circuit.solver.CrossbarSolver` and shared by all.
+    jacobian_structure: Optional[Any] = field(default=None, init=False, repr=False, compare=False)
 
     # -- node naming -------------------------------------------------------
 
@@ -158,6 +164,34 @@ class CrossbarNetlist:
             (r.conductance_s for r in self.resistors), dtype=np.float64, count=count
         )
         return node_a, node_b, conductance
+
+
+#: Netlists kept by :func:`shared_crossbar_netlist`, least recently used first.
+NETLIST_CACHE_SIZE = 4
+_shared_netlists: "OrderedDict[str, CrossbarNetlist]" = OrderedDict()
+_shared_netlists_lock = threading.Lock()
+
+
+def shared_crossbar_netlist(geometry: CrossbarGeometry, wires: WireParameters) -> CrossbarNetlist:
+    """The netlist of ``(geometry, wires)`` from a small process-level cache.
+
+    Netlists are immutable after construction, so crossbars with equal
+    geometry and wires share one, together with the solver structure cached
+    on it.  The key is the canonical JSON of both configurations (the
+    dataclasses themselves are unhashable); the netlist keeps private copies
+    of them, so later edits to the caller's objects cannot reach the cache.
+    """
+    key = json.dumps([geometry.to_dict(), wires.to_dict()], sort_keys=True)
+    with _shared_netlists_lock:
+        netlist = _shared_netlists.get(key)
+        if netlist is None:
+            netlist = build_crossbar_netlist(replace(geometry), replace(wires))
+            _shared_netlists[key] = netlist
+            if len(_shared_netlists) > NETLIST_CACHE_SIZE:
+                _shared_netlists.popitem(last=False)
+        else:
+            _shared_netlists.move_to_end(key)
+    return netlist
 
 
 def build_crossbar_netlist(

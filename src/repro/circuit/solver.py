@@ -18,8 +18,13 @@ array-native code:
   the constant linear (wire + driver) stamps live in a cached CSR data
   vector, and the per-iteration device stamps are scattered into their CSR
   slots with vectorized fancy indexing;
-* the linear system is solved with ``scipy.sparse.linalg.spsolve``; below a
-  crossover size (or when SciPy is unavailable) a dense ``numpy.linalg.solve``
+* the sparse linear system is factored once per solver with SuperLU; every
+  later linear solve on that solver (further Newton iterations, warm-started
+  re-solves, later sampled arrays) runs preconditioned conjugate gradients
+  with that factorization as preconditioner — the nodal Jacobian is
+  symmetric, and a nearby Jacobian's LU makes CG converge in a handful of
+  iterations.  A CG run that exceeds its budget or breaks down refactors at
+  the current Jacobian.  Below a crossover size a dense ``numpy.linalg.solve``
   over the same stamp data is used instead, which is faster for tiny systems.
 
 The KCL residual check reuses the device currents already evaluated for the
@@ -33,16 +38,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
-
-try:  # SciPy is an optional accelerator: without it the dense path is used.
-    from scipy import sparse as _sparse
-    from scipy.sparse.linalg import spsolve as _spsolve
-
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only on scipy-less installs
-    _sparse = None
-    _spsolve = None
-    _HAVE_SCIPY = False
+from scipy import sparse as _sparse
+from scipy.sparse.linalg import splu as _splu
 
 from ..devices.base import (
     BatchedDeviceModel,
@@ -68,6 +65,13 @@ StateLike = Union[DeviceStateArrays, Mapping[Cell, DeviceState]]
 
 #: Below this node count the dense linear solve beats the sparse machinery.
 DENSE_CROSSOVER_NODES = 500
+
+#: Preconditioned-CG iterations a held factorization may take per linear
+#: solve before the solver refactors at the current Jacobian.
+PCG_MAX_ITERATIONS = 20
+#: Relative residual (2-norm, against the right-hand side) at which the
+#: preconditioned CG inner solve stops.
+PCG_RELATIVE_TOLERANCE = 1e-13
 
 
 class NodeVoltageMap(MappingABC):
@@ -133,15 +137,90 @@ class OperatingPoint:
         return float(self.device_powers_w.sum())
 
 
+class _JacobianStructure:
+    """Sparsity pattern and constant (linear) stamps of a netlist's nodal matrix.
+
+    The nodal matrix is the sum of three contributions: the constant wire
+    resistor stamps, the per-solve driver Norton conductances (diagonal
+    only) and the per-iteration device companion conductances.  All three
+    are expressed as entries of one fixed COO template whose mapping onto
+    CSR data slots is computed here once; each iteration then only fills a
+    data vector — no Python loops, no re-sorting.
+
+    The structure depends on the netlist alone, so it is built once per
+    netlist, kept on :attr:`CrossbarNetlist.jacobian_structure` and shared by
+    every solver of that netlist.  Nothing in it is mutated after the build.
+    """
+
+    @classmethod
+    def of(cls, netlist: CrossbarNetlist) -> "_JacobianStructure":
+        """The netlist's structure, built on first use."""
+        if netlist.jacobian_structure is None:
+            netlist.jacobian_structure = cls(netlist)
+        return netlist.jacobian_structure
+
+    def __init__(self, netlist: CrossbarNetlist):
+        n = netlist.node_count
+        res_a, res_b, res_g = netlist.resistor_index_arrays
+        mask_a = res_a >= 0
+        mask_b = res_b >= 0
+        mask_ab = mask_a & mask_b
+
+        lin_rows = np.concatenate([res_a[mask_a], res_b[mask_b], res_a[mask_ab], res_b[mask_ab]])
+        lin_cols = np.concatenate([res_a[mask_a], res_b[mask_b], res_b[mask_ab], res_a[mask_ab]])
+        lin_data = np.concatenate([res_g[mask_a], res_g[mask_b], -res_g[mask_ab], -res_g[mask_ab]])
+
+        diag = np.arange(n, dtype=np.int64)
+        dev_w, dev_b = netlist.device_index_arrays[:2]
+
+        rows = np.concatenate([lin_rows, diag, dev_w, dev_b, dev_w, dev_b])
+        cols = np.concatenate([lin_cols, diag, dev_w, dev_b, dev_b, dev_w])
+        keys = rows * np.int64(n) + cols
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+
+        nnz = int(unique_keys.size)
+        self.flat_index = unique_keys
+        self.csr_indices = (unique_keys % n).astype(np.int32)
+        self.csr_indptr = np.searchsorted(
+            unique_keys, np.arange(n + 1, dtype=np.int64) * n
+        ).astype(np.int32)
+
+        n_lin = lin_rows.size
+        nd = dev_w.size
+        self.base_data = np.bincount(inverse[:n_lin], weights=lin_data, minlength=nnz)
+        self.diag_slots = inverse[n_lin : n_lin + n]
+        offset = n_lin + n
+        self.slot_ww = inverse[offset : offset + nd]
+        self.slot_bb = inverse[offset + nd : offset + 2 * nd]
+        self.slot_wb = inverse[offset + 2 * nd : offset + 3 * nd]
+        self.slot_bw = inverse[offset + 3 * nd : offset + 4 * nd]
+
+        # Every crosspoint of a crossbar netlist owns its word-line and
+        # bit-line node, so the scatter targets are unique and plain fancy
+        # indexing applies; fall back to the buffered ufunc otherwise.
+        self.unique_dev_nodes = np.unique(dev_w).size == nd and np.unique(dev_b).size == nd
+
+        # The constant wire stamps alone, for the KCL residual.
+        self.linear_operator = _sparse.csr_matrix(
+            (self.base_data.copy(), self.csr_indices.copy(), self.csr_indptr.copy()),
+            shape=(n, n),
+        )
+        get_telemetry().count("solver.jacobian.structure_builds")
+
+
 class CrossbarSolver:
     """Damped Newton nodal-analysis solver over a crossbar netlist.
+
+    A sparse solver holds one SuperLU factorization for its whole life: the
+    first linear solve factors the Jacobian, every later one runs
+    preconditioned CG with that factorization (see :meth:`_solve_sparse`).
 
     Args:
         netlist: The expanded crossbar netlist.
         model: Scalar device model; its :meth:`batched` kernel evaluates all
             devices per iteration in one call.
-        backend: ``"auto"`` (sparse above :data:`DENSE_CROSSOVER_NODES` when
-            SciPy is available, dense otherwise), ``"sparse"`` or ``"dense"``.
+        backend: ``"auto"`` (sparse above :data:`DENSE_CROSSOVER_NODES`, dense
+            otherwise), ``"sparse"`` or ``"dense"``.
         dense_crossover_nodes: Node-count threshold of the ``"auto"`` choice.
     """
 
@@ -158,8 +237,6 @@ class CrossbarSolver:
     ):
         if backend not in ("auto", "sparse", "dense"):
             raise ConfigurationError(f"unknown solver backend {backend!r}")
-        if backend == "sparse" and not _HAVE_SCIPY:
-            raise ConfigurationError("the sparse solver backend requires scipy")
         self.netlist = netlist
         self.model = model
         self.max_iterations = max_iterations
@@ -170,82 +247,17 @@ class CrossbarSolver:
         self._last_solution: Optional[np.ndarray] = None
         self._batched: BatchedDeviceModel = model.batched()
 
-        n = netlist.node_count
         if backend == "auto":
-            self._use_sparse = _HAVE_SCIPY and n > dense_crossover_nodes
+            self._use_sparse = netlist.node_count > dense_crossover_nodes
         else:
             self._use_sparse = backend == "sparse"
         #: Backend used by the most recent linear solve ("sparse" or "dense").
         self.last_backend: Optional[str] = None
+        #: SuperLU factorization preconditioning this solver's sparse solves.
+        self._factor = None
 
         self._dev_w, self._dev_b, self._dev_rows, self._dev_cols = netlist.device_index_arrays
-        self._assemble_structure()
-
-    # -- assembly -----------------------------------------------------------
-
-    def _assemble_structure(self) -> None:
-        """Precompute the sparsity pattern and the constant (linear) stamps.
-
-        The nodal matrix is the sum of three contributions: the constant wire
-        resistor stamps, the per-solve driver Norton conductances (diagonal
-        only) and the per-iteration device companion conductances.  All three
-        are expressed as entries of one fixed COO template whose mapping onto
-        CSR data slots is computed here once; each iteration then only fills
-        a data vector — no Python loops, no re-sorting.
-        """
-        n = self.netlist.node_count
-        res_a, res_b, res_g = self.netlist.resistor_index_arrays
-        mask_a = res_a >= 0
-        mask_b = res_b >= 0
-        mask_ab = mask_a & mask_b
-
-        lin_rows = np.concatenate([res_a[mask_a], res_b[mask_b], res_a[mask_ab], res_b[mask_ab]])
-        lin_cols = np.concatenate([res_a[mask_a], res_b[mask_b], res_b[mask_ab], res_a[mask_ab]])
-        lin_data = np.concatenate([res_g[mask_a], res_g[mask_b], -res_g[mask_ab], -res_g[mask_ab]])
-
-        diag = np.arange(n, dtype=np.int64)
-        dev_w, dev_b = self._dev_w, self._dev_b
-
-        rows = np.concatenate([lin_rows, diag, dev_w, dev_b, dev_w, dev_b])
-        cols = np.concatenate([lin_cols, diag, dev_w, dev_b, dev_b, dev_w])
-        keys = rows * np.int64(n) + cols
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-
-        self._nnz = int(unique_keys.size)
-        self._flat_index = unique_keys
-        self._csr_indices = (unique_keys % n).astype(np.int32)
-        self._csr_indptr = np.searchsorted(
-            unique_keys, np.arange(n + 1, dtype=np.int64) * n
-        ).astype(np.int32)
-
-        n_lin = lin_rows.size
-        nd = dev_w.size
-        self._base_data = np.bincount(inverse[:n_lin], weights=lin_data, minlength=self._nnz)
-        self._diag_slots = inverse[n_lin : n_lin + n]
-        offset = n_lin + n
-        self._slot_ww = inverse[offset : offset + nd]
-        self._slot_bb = inverse[offset + nd : offset + 2 * nd]
-        self._slot_wb = inverse[offset + 2 * nd : offset + 3 * nd]
-        self._slot_bw = inverse[offset + 3 * nd : offset + 4 * nd]
-
-        # Every crosspoint of a crossbar netlist owns its word-line and
-        # bit-line node, so the scatter targets are unique and plain fancy
-        # indexing applies; fall back to the buffered ufunc otherwise.
-        self._unique_dev_nodes = (
-            np.unique(dev_w).size == nd and np.unique(dev_b).size == nd
-        )
-
-        get_telemetry().count("solver.jacobian.structure_builds")
-
-        if _HAVE_SCIPY:
-            self._linear_operator = _sparse.csr_matrix(
-                (self._base_data.copy(), self._csr_indices.copy(), self._csr_indptr.copy()),
-                shape=(n, n),
-            )
-        else:
-            dense = np.zeros(n * n)
-            dense[self._flat_index] = self._base_data
-            self._linear_operator = dense.reshape(n, n)
+        self._structure = _JacobianStructure.of(netlist)
 
     def _driver_stamps(self, bias: BiasPattern) -> Tuple[np.ndarray, np.ndarray]:
         """Norton-equivalent driver stamps: (diagonal conductance, current)."""
@@ -400,22 +412,23 @@ class CrossbarSolver:
         equivalent: np.ndarray,
     ) -> np.ndarray:
         """Assemble the companion-model system and solve it once."""
+        structure = self._structure
         n = self.netlist.node_count
-        data = self._base_data.copy()
-        data[self._diag_slots] += extra_g
-        if self._unique_dev_nodes:
-            data[self._slot_ww] += conductances
-            data[self._slot_bb] += conductances
-            data[self._slot_wb] -= conductances
-            data[self._slot_bw] -= conductances
+        data = structure.base_data.copy()
+        data[structure.diag_slots] += extra_g
+        if structure.unique_dev_nodes:
+            data[structure.slot_ww] += conductances
+            data[structure.slot_bb] += conductances
+            data[structure.slot_wb] -= conductances
+            data[structure.slot_bw] -= conductances
         else:  # pragma: no cover - crossbar netlists always have unique nodes
-            np.add.at(data, self._slot_ww, conductances)
-            np.add.at(data, self._slot_bb, conductances)
-            np.subtract.at(data, self._slot_wb, conductances)
-            np.subtract.at(data, self._slot_bw, conductances)
+            np.add.at(data, structure.slot_ww, conductances)
+            np.add.at(data, structure.slot_bb, conductances)
+            np.subtract.at(data, structure.slot_wb, conductances)
+            np.subtract.at(data, structure.slot_bw, conductances)
 
         rhs = driver_currents.copy()
-        if self._unique_dev_nodes:
+        if structure.unique_dev_nodes:
             rhs[self._dev_w] -= equivalent
             rhs[self._dev_b] += equivalent
         else:  # pragma: no cover
@@ -430,14 +443,73 @@ class CrossbarSolver:
 
         if self._use_sparse:
             self.last_backend = "sparse"
-            matrix = _sparse.csr_matrix(
-                (data, self._csr_indices, self._csr_indptr), shape=(n, n)
-            )
-            return np.asarray(_spsolve(matrix, rhs))
+            return self._solve_sparse(data, rhs)
         self.last_backend = "dense"
         dense = np.zeros(n * n)
-        dense[self._flat_index] = data
+        dense[structure.flat_index] = data
         return np.linalg.solve(dense.reshape(n, n), rhs)
+
+    def _solve_sparse(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the held factorization, refreshing it when it goes stale.
+
+        The first call factors the Jacobian.  Later calls run preconditioned
+        CG with that factorization, starting from its direct solve; when CG
+        exceeds :data:`PCG_MAX_ITERATIONS` or breaks down, the Jacobian of
+        this call is factored instead and becomes the held factorization.
+        """
+        structure = self._structure
+        n = self.netlist.node_count
+        matrix = _sparse.csr_matrix((data, structure.csr_indices, structure.csr_indptr), shape=(n, n))
+        tel = get_telemetry()
+        if self._factor is not None:
+            solution, iterations = self._pcg(matrix, rhs)
+            if tel.enabled:
+                tel.count("solver.linear.pcg_iterations", iterations)
+            watchdog = get_watchdog()
+            if watchdog.enabled:
+                watchdog.check_iterations("solver.pcg", iterations, PCG_MAX_ITERATIONS)
+            if solution is not None:
+                return solution
+            if tel.enabled:
+                tel.count("solver.linear.refactors")
+        # The nodal matrix is symmetric, so its CSR arrays are its CSC arrays.
+        csc = _sparse.csc_matrix((data, structure.csr_indices, structure.csr_indptr), shape=(n, n))
+        self._factor = _splu(csc, permc_spec="MMD_AT_PLUS_A")
+        if tel.enabled:
+            tel.count("solver.linear.factorizations")
+        return self._factor.solve(rhs)
+
+    def _pcg(self, matrix, rhs: np.ndarray) -> Tuple[Optional[np.ndarray], int]:
+        """CG on ``matrix`` preconditioned by the held factorization.
+
+        Returns ``(solution, iterations)``; the solution is None when CG
+        breaks down (``p^T A p <= 0``) or misses :data:`PCG_RELATIVE_TOLERANCE`
+        within :data:`PCG_MAX_ITERATIONS` iterations.
+        """
+        precondition = self._factor.solve
+        target = PCG_RELATIVE_TOLERANCE * np.linalg.norm(rhs)
+        x = precondition(rhs)
+        r = rhs - matrix @ x
+        if np.linalg.norm(r) <= target:
+            return x, 0
+        z = precondition(r)
+        p = z.copy()
+        rz = float(r @ z)
+        for iteration in range(1, PCG_MAX_ITERATIONS + 1):
+            ap = matrix @ p
+            pap = float(p @ ap)
+            if not pap > 0.0:
+                return None, iteration
+            alpha = rz / pap
+            x += alpha * p
+            r -= alpha * ap
+            if np.linalg.norm(r) <= target:
+                return x, iteration
+            z = precondition(r)
+            rz_next = float(r @ z)
+            p = z + (rz_next / rz) * p
+            rz = rz_next
+        return None, PCG_MAX_ITERATIONS
 
     def _kcl_residual(
         self,
@@ -451,8 +523,8 @@ class CrossbarSolver:
         Reuses the device currents evaluated for this iteration's stamps
         instead of recomputing them per device.
         """
-        residual = driver_currents - extra_g * voltages - self._linear_operator @ voltages
-        if self._unique_dev_nodes:
+        residual = driver_currents - extra_g * voltages - self._structure.linear_operator @ voltages
+        if self._structure.unique_dev_nodes:
             residual[self._dev_w] -= device_currents
             residual[self._dev_b] += device_currents
         else:  # pragma: no cover

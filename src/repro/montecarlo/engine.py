@@ -918,9 +918,12 @@ class MonteCarloEngine:
         Every sampled array gets per-cell device draws (optionally correlated
         within the die), its own electro-thermal crossbar solve through the
         batched solver kernel, and a vectorized kinetics integration over all
-        victims at once.  The crossbar, netlist and Jacobian structure are
-        built once and reused across arrays (the sampled parameters are
-        swapped into the solver's batched model in place).
+        victims at once.  The crossbar, and with it the solver's one sparse
+        factorization, is built once per call and reused across arrays (the
+        sampled parameters are swapped into the solver's batched model in
+        place); the netlist and Jacobian structure come from the shared
+        netlist cache.  Nothing outlives the call, so a batch's numbers
+        depend only on its seed and index.
 
         ``attack.*`` distributions are honoured with one draw per sampled
         array (the attack environment — ambient temperature, pulse amplitude,

@@ -303,6 +303,10 @@ class TestTwoProcessFollow:
                 "--no-cache",
                 "--obs-dir",
                 str(obs),
+                # Point 6 sleeps 1 s and completes: a deterministic in-flight
+                # window for the tail, however fast the other points run.
+                "--inject-faults",
+                "hang@6;hang=1",
             ],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
