@@ -20,12 +20,48 @@ rules); only the innermost interface-current root solve swaps the scalar's
 bisection for an equally-precise Newton descent.  Each lane therefore
 reproduces the scalar trajectory to floating-point noise; the test suite
 validates element-for-element agreement within 1e-9 relative tolerance.
+
+The interface root is solved in the coordinate ``w = asinh(I / i_sat)``, where
+the residual ``f(w) = v_nl * w + r_ohmic * i_sat * sinh(w) - |V|`` is strictly
+increasing and convex for w >= 0.  Both ``|V| / v_nl`` and
+``asinh(|V| / (r_ohmic * i_sat))`` over-estimate the root (each drops one of the
+two positive terms), so Newton started at or below their minimum but right of
+the root descends monotonically onto it; a start left of the root lands right
+of it after one step (convexity) and descends from there.  Newton stops once
+no lane moved by more than ~1 ulp.
+
+Two paths evaluate this root.  Both use the parameter-only lane constants
+(filament area, plug and series resistance, concentration span, ...) computed
+once per population in :class:`VectorizedJartVcm` and carried through
+:meth:`~VectorizedJartVcm.take`:
+
+* The *direct* path, :meth:`VectorizedJartVcm.current` and
+  :meth:`~VectorizedJartVcm.state_derivative`, serves the crossbar nodal Newton
+  and the transient engine through :class:`JartArrayModel`.  Both take
+  finite-difference conductances through it, which amplify a one-ulp change
+  of a current into a visible change of a solved voltage, so this path keeps
+  its expression order bit for bit: it starts cold, and since a cold start
+  only descends it tests the signed step against the stop rule.
+* The *kernel* path inside :func:`solve_operating_point_batch` and
+  :func:`time_to_switch_batch` solves many currents of the same lanes at a
+  fixed bias and state while only the temperature moves.  It computes the
+  ohmic resistance and the barrier once per solve, regroups the saturation
+  current around the hoisted thermionic prefactor, and warm starts each
+  fixed-point iteration's Newton (and the final recompute) from the previous
+  iterate's root, clipped to the cold start ``min(|V| / v_nl, asinh(|V| /
+  (r_ohmic * i_sat)))``.  The temperature only rises across the damped
+  iteration, which only lowers the root, so the clipped previous root lies
+  between the new root and the cold start: the monotone descent is shorter,
+  never longer.  Any start left of the root still converges (it ascends
+  once), which is why this path's stop rule tests ``|step|``.  The kinetics
+  integrator takes the cell current of each thermal refresh instead of
+  solving it again at the identical ``(V, x, T)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +75,7 @@ from ..constants import (
 from ..devices.base import BatchedDeviceModel, MemristorModel
 from ..devices.jart_vcm import JartVcmParameters
 from ..errors import ConvergenceError, DeviceModelError
+from ..obs import get_telemetry, get_watchdog
 from ..utils.logging import get_logger
 
 logger = get_logger("montecarlo.vectorized")
@@ -55,6 +92,23 @@ _NEWTON_ATOL = 1e-300
 
 #: Overflow guard of the sinh field term (matches the scalar model).
 _MAX_FIELD_ARGUMENT = 50.0
+
+#: Damping of the electro-thermal fixed point (matches the scalar solver).
+_DAMPING = 0.6
+
+_PARAMETER_FIELDS = tuple(f.name for f in fields(JartVcmParameters))
+
+#: Parameter-only lane constants derived once per population.
+_DERIVED_FIELDS = (
+    "filament_area_m2",
+    "charge_mobility",
+    "disc_span_per_m3",
+    "plug_resistance_ohm",
+    "plug_series_ohm",
+    "field_coefficient_k_per_v",
+    "disc_numerator",
+    "thermionic_prefactor",
+)
 
 
 def _lanes(value: ArrayLike, n: int, name: str) -> np.ndarray:
@@ -73,7 +127,9 @@ class VectorizedJartVcm:
     Every physical parameter is a lane array of shape ``(n,)``; lanes are
     fully independent, so one call evaluates ``n`` distinct sampled devices.
     Built from a nominal :class:`~repro.devices.jart_vcm.JartVcmParameters`
-    plus per-field override arrays (sampled values).
+    plus per-field override arrays (sampled values).  The lane arrays are
+    read-only after construction: the derived constants are computed from
+    them once.
     """
 
     def __init__(
@@ -86,15 +142,15 @@ class VectorizedJartVcm:
             raise DeviceModelError("population size must be at least 1")
         self.n = int(n)
         base = base if base is not None else JartVcmParameters()
-        names = {f.name for f in fields(JartVcmParameters)}
         overrides = dict(overrides or {})
-        unknown = set(overrides) - names
+        unknown = set(overrides) - set(_PARAMETER_FIELDS)
         if unknown:
             raise DeviceModelError(f"unknown device parameter overrides {sorted(unknown)}")
-        for name in names:
+        for name in _PARAMETER_FIELDS:
             value = overrides.get(name, getattr(base, name))
             setattr(self, name, _lanes(value, self.n, f"device.{name}"))
         self._validate()
+        self._derive()
 
     def _validate(self) -> None:
         """Element-wise mirror of ``JartVcmParameters.__post_init__``."""
@@ -114,6 +170,27 @@ class VectorizedJartVcm:
         if np.any(self.set_rate_prefactor_per_s <= 0) or np.any(self.reset_rate_prefactor_per_s <= 0):
             raise DeviceModelError("kinetic prefactors must be positive in every lane")
 
+    def _derive(self) -> None:
+        """The parameter-only lane constants of :data:`_DERIVED_FIELDS`."""
+        # Scalar-model expression order: the direct path uses these bit for bit.
+        self.filament_area_m2 = np.pi * self.filament_radius_m**2
+        self.charge_mobility = self.charge_number * ELEMENTARY_CHARGE_C * self.electron_mobility_m2_per_vs
+        self.disc_span_per_m3 = self.n_disc_max_per_m3 - self.n_disc_min_per_m3
+        self.plug_resistance_ohm = self.plug_length_m / (
+            self.charge_mobility * self.n_plug_per_m3 * self.filament_area_m2
+        )
+        self.plug_series_ohm = self.plug_resistance_ohm + self.series_resistance_ohm
+        self.field_coefficient_k_per_v = (
+            self.hop_distance_m
+            * self.charge_number
+            * ELEMENTARY_CHARGE_C
+            / (2.0 * BOLTZMANN_J_PER_K * self.disc_length_m)
+        )
+        # Regrouped for the kernel path only: r_disc = disc_numerator / N_disc
+        # and i_sat = thermionic_prefactor * T^2 * exp(-barrier / kT).
+        self.disc_numerator = self.disc_length_m / (self.charge_mobility * self.filament_area_m2)
+        self.thermionic_prefactor = RICHARDSON_A_PER_M2K2 * self.filament_area_m2
+
     # ------------------------------------------------------------------
     # lane management
     # ------------------------------------------------------------------
@@ -125,8 +202,8 @@ class VectorizedJartVcm:
             return self
         subset = object.__new__(VectorizedJartVcm)
         subset.n = int(len(indices))
-        for f in fields(JartVcmParameters):
-            setattr(subset, f.name, getattr(self, f.name)[indices])
+        for name in _PARAMETER_FIELDS + _DERIVED_FIELDS:
+            setattr(subset, name, getattr(self, name)[indices])
         return subset
 
     def scalar_parameters(self, index: int) -> JartVcmParameters:
@@ -136,61 +213,17 @@ class VectorizedJartVcm:
         a :class:`~repro.devices.jart_vcm.JartVcmModel` per cell.
         """
         values = {}
-        for f in fields(JartVcmParameters):
-            value = getattr(self, f.name)[index]
-            values[f.name] = int(value) if f.name == "charge_number" else float(value)
+        for name in _PARAMETER_FIELDS:
+            value = getattr(self, name)[index]
+            values[name] = int(value) if name == "charge_number" else float(value)
         return JartVcmParameters(**values)
-
-    # ------------------------------------------------------------------
-    # derived quantities (mirroring JartVcmModel)
-    # ------------------------------------------------------------------
 
     @staticmethod
     def clamp_state(x: np.ndarray) -> np.ndarray:
         return np.clip(x, 0.0, 1.0)
 
-    @property
-    def filament_area_m2(self) -> np.ndarray:
-        return np.pi * self.filament_radius_m**2
-
-    @property
-    def field_coefficient_k_per_v(self) -> np.ndarray:
-        return (
-            self.hop_distance_m
-            * self.charge_number
-            * ELEMENTARY_CHARGE_C
-            / (2.0 * BOLTZMANN_J_PER_K * self.disc_length_m)
-        )
-
-    def disc_concentration(self, x: np.ndarray) -> np.ndarray:
-        x = self.clamp_state(x)
-        return self.n_disc_min_per_m3 + x * (self.n_disc_max_per_m3 - self.n_disc_min_per_m3)
-
-    def disc_resistance(self, x: np.ndarray) -> np.ndarray:
-        sigma = (
-            self.charge_number
-            * ELEMENTARY_CHARGE_C
-            * self.electron_mobility_m2_per_vs
-            * self.disc_concentration(x)
-        )
-        return self.disc_length_m / (sigma * self.filament_area_m2)
-
-    def plug_resistance(self) -> np.ndarray:
-        sigma = (
-            self.charge_number * ELEMENTARY_CHARGE_C * self.electron_mobility_m2_per_vs * self.n_plug_per_m3
-        )
-        return self.plug_length_m / (sigma * self.filament_area_m2)
-
-    def ohmic_resistance(self, x: np.ndarray) -> np.ndarray:
-        return self.disc_resistance(x) + self.plug_resistance() + self.series_resistance_ohm
-
-    def interface_saturation_current(self, x: np.ndarray, temperature_k: np.ndarray) -> np.ndarray:
-        barrier_ev = self.barrier_height_ev - self.barrier_lowering_ev * self.clamp_state(x)
-        thermionic = RICHARDSON_A_PER_M2K2 * temperature_k**2 * self.filament_area_m2
-        return thermionic * np.exp(-barrier_ev / (BOLTZMANN_EV_PER_K * temperature_k))
-
     # ------------------------------------------------------------------
-    # electrical characteristic
+    # direct path (scalar expression order, bit for bit)
     # ------------------------------------------------------------------
 
     def current(self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray) -> np.ndarray:
@@ -198,19 +231,11 @@ class VectorizedJartVcm:
 
         The per-lane root equation is identical to ``JartVcmModel.current``
         (``v_nl * asinh(I / i_sat) + I * r_ohmic = magnitude``), but instead
-        of sixty bisection steps the root is located by Newton iteration in
-        the interface coordinate ``w = asinh(I / i_sat)``, where the residual
-
-            f(w) = v_nl * w + r_ohmic * i_sat * sinh(w) - magnitude
-
-        is strictly increasing and *convex* for w >= 0.  Both ``magnitude /
-        v_nl`` and ``asinh(magnitude / (r_ohmic * i_sat))`` over-estimate the
-        root (each drops one of the two positive terms), so starting from
-        their minimum puts Newton on the convex side: the iteration descends
-        monotonically onto the root — globally convergent without
-        safeguarding — and stalls at ~1 ulp within a handful of steps.  Both
-        solvers resolve the root orders of magnitude beyond the 1e-9
-        agreement budget of this module (the scalar bracket ends 2^-60 wide).
+        of sixty bisection steps the root is located by Newton descent in the
+        interface coordinate ``w`` from the cold start (see the module
+        docstring).  Both solvers resolve the root orders of magnitude beyond
+        the 1e-9 agreement budget of this module (the scalar bracket ends
+        2^-60 wide).
         """
         if np.any(np.abs(voltage_v) > 10.0):
             raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V in a lane")
@@ -218,8 +243,15 @@ class VectorizedJartVcm:
         magnitude = np.abs(voltage_v)
         x = self.clamp_state(x)
         temperature = np.maximum(temperature_k, 1.0)
-        r_ohmic = self.ohmic_resistance(x)
-        i_sat = self.interface_saturation_current(x, temperature)
+        sigma = self.charge_mobility * (self.n_disc_min_per_m3 + x * self.disc_span_per_m3)
+        r_ohmic = (
+            self.disc_length_m / (sigma * self.filament_area_m2)
+            + self.plug_resistance_ohm
+            + self.series_resistance_ohm
+        )
+        barrier_ev = self.barrier_height_ev - self.barrier_lowering_ev * x
+        thermionic = RICHARDSON_A_PER_M2K2 * temperature**2 * self.filament_area_m2
+        i_sat = thermionic * np.exp(-barrier_ev / (BOLTZMANN_EV_PER_K * temperature))
         v_nl = self.interface_voltage_v
 
         ohmic_sat = r_ohmic * i_sat
@@ -241,51 +273,49 @@ class VectorizedJartVcm:
             slope += v_nl
             np.divide(residual, slope, out=step)
             w -= step
-            # Converged once no lane moved by more than ~1 ulp (zero-bias
-            # lanes start exactly at w = 0 with zero residual).
-            if not np.any(step > _NEWTON_RTOL * w + _NEWTON_ATOL):
+            # A cold start descends, so every step is >= 0 up to rounding;
+            # zero-bias lanes start exactly at w = 0 with zero residual.
+            if not (step > _NEWTON_RTOL * w + _NEWTON_ATOL).any():
                 break
         return sign * i_sat * np.sinh(w)
-
-    def driving_voltage(
-        self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray
-    ) -> np.ndarray:
-        """Voltage available to drive ion migration [V] (signed), per lane."""
-        current_a = self.current(voltage_v, x, temperature_k)
-        series = self.plug_resistance() + self.series_resistance_ohm
-        return voltage_v - current_a * series
-
-    # ------------------------------------------------------------------
-    # switching kinetics
-    # ------------------------------------------------------------------
 
     def state_derivative(
         self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray
     ) -> np.ndarray:
         """dx/dt per lane — thermally activated, field-accelerated hopping."""
-        temperature = np.maximum(temperature_k, 1.0)
-        v_drive = self.driving_voltage(voltage_v, x, temperature)
-        field_argument = np.minimum(
-            self.field_coefficient_k_per_v * np.abs(v_drive) / temperature, _MAX_FIELD_ARGUMENT
-        )
-        field_term = np.sinh(field_argument)
-        set_rate = (
-            self.set_rate_prefactor_per_s
-            * np.exp(-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature))
-            * field_term
-        )
-        reset_rate = (
-            self.reset_rate_prefactor_per_s
-            * np.exp(-self.reset_activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature))
-            * field_term
-        )
-        rate = np.where(voltage_v > 0.0, set_rate, -reset_rate)
-        # Saturation at the state bounds and the zero-bias dead zone, exactly
-        # as the scalar model reports them.
-        rate = np.where((voltage_v > 0.0) & (x >= 1.0), 0.0, rate)
-        rate = np.where((voltage_v < 0.0) & (x <= 0.0), 0.0, rate)
-        rate = np.where(voltage_v == 0.0, 0.0, rate)
-        return rate
+        return _hopping_rate(self, None, voltage_v, x, temperature_k, self.current(voltage_v, x, temperature_k))
+
+
+def _hopping_rate(
+    model: VectorizedJartVcm,
+    lanes,
+    voltage_v: np.ndarray,
+    x: np.ndarray,
+    temperature_k: np.ndarray,
+    current: np.ndarray,
+) -> np.ndarray:
+    """dx/dt of ``lanes`` (None: all) from a solved cell current.
+
+    The scalar model's expression order.  One exponential serves both bias
+    directions: SET constants where the bias is positive, the negated RESET
+    prefactor and the RESET energy elsewhere (negation is exact).
+    """
+    at = slice(None) if lanes is None else lanes
+    temperature = np.maximum(temperature_k, 1.0)
+    positive = voltage_v > 0.0
+    prefactor = np.where(positive, model.set_rate_prefactor_per_s[at], -model.reset_rate_prefactor_per_s[at])
+    activation_ev = np.where(positive, model.activation_energy_ev[at], model.reset_activation_energy_ev[at])
+    # The driving voltage: the cell voltage minus the plug and series drops.
+    v_drive = voltage_v - current * model.plug_series_ohm[at]
+    field_argument = np.minimum(
+        model.field_coefficient_k_per_v[at] * np.abs(v_drive) / temperature, _MAX_FIELD_ARGUMENT
+    )
+    rate = prefactor * np.exp(-activation_ev / (BOLTZMANN_EV_PER_K * temperature)) * np.sinh(field_argument)
+    # Saturation at the state bounds and the zero-bias dead zone, exactly
+    # as the scalar model reports them.
+    rate = np.where(positive & (x >= 1.0), 0.0, rate)
+    rate = np.where((voltage_v < 0.0) & (x <= 0.0), 0.0, rate)
+    return np.where(voltage_v == 0.0, 0.0, rate)
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +463,170 @@ class SampledArrayJartModel(MemristorModel):
 
 
 # ----------------------------------------------------------------------
+# kernel path: interface root at fixed bias and state
+# ----------------------------------------------------------------------
+
+# Rows of the packed per-lane working set of the kernel path.  One array
+# holds them all, so retiring converged lanes is one fancy index.
+_MAG, _VNL, _LIMIT, _ROHM, _NEG_BARRIER, _PREFACTOR, _RTH, _BASE, _T, _W = range(10)
+_ROWS = 10
+
+
+def _pack(
+    model: VectorizedJartVcm, lanes, voltage: np.ndarray, x: np.ndarray, base_temperature: np.ndarray
+) -> np.ndarray:
+    """The kernel-path working set of ``lanes`` (None: all) at bias ``voltage``, state ``x``.
+
+    The state-only terms (ohmic resistance, barrier) are computed here once
+    per solve.  The temperature starts at ``base_temperature`` (ambient plus
+    crosstalk) and ``_W`` at +inf, which the clip turns into a cold start.
+    """
+    magnitude = np.abs(voltage)
+    if (magnitude > 10.0).any():
+        raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V in a lane")
+    at = slice(None) if lanes is None else lanes
+    x = np.clip(x, 0.0, 1.0)
+    pack = np.empty((_ROWS, magnitude.size))
+    pack[_MAG] = magnitude
+    pack[_VNL] = model.interface_voltage_v[at]
+    np.divide(magnitude, pack[_VNL], out=pack[_LIMIT])
+    concentration = model.n_disc_min_per_m3[at] + x * model.disc_span_per_m3[at]
+    pack[_ROHM] = model.disc_numerator[at] / concentration + model.plug_series_ohm[at]
+    pack[_NEG_BARRIER] = (model.barrier_lowering_ev[at] * x - model.barrier_height_ev[at]) / BOLTZMANN_EV_PER_K
+    pack[_PREFACTOR] = model.thermionic_prefactor[at]
+    pack[_RTH] = model.rth_eff_k_per_w[at]
+    pack[_BASE] = base_temperature
+    pack[_T] = base_temperature
+    pack[_W] = np.inf
+    return pack
+
+
+class _NewtonScratch:
+    """Preallocated in-place buffers of the kernel path's interface Newton."""
+
+    def __init__(self, n: int):
+        self._rows = np.empty((5, n))
+        self._moved = np.empty(n, dtype=bool)
+
+    def descend(self, w: np.ndarray, ohmic_sat: np.ndarray, v_nl: np.ndarray, magnitude: np.ndarray) -> int:
+        """Newton on ``f(w) = v_nl w + ohmic_sat sinh(w) - magnitude`` in place; returns the iterations."""
+        m = w.size
+        sinh_w, cosh_w, residual, slope, step = self._rows[:, :m]
+        moved = self._moved[:m]
+        for iteration in range(1, _MAX_NEWTON_STEPS + 1):
+            np.sinh(w, out=sinh_w)
+            np.cosh(w, out=cosh_w)
+            np.multiply(v_nl, w, out=residual)
+            np.multiply(ohmic_sat, sinh_w, out=step)
+            residual += step
+            residual -= magnitude
+            np.multiply(ohmic_sat, cosh_w, out=slope)
+            slope += v_nl
+            np.divide(residual, slope, out=step)
+            w -= step
+            # |step|: a warm start left of the root ascends on its first step.
+            np.abs(step, out=step)
+            np.multiply(w, _NEWTON_RTOL, out=slope)
+            slope += _NEWTON_ATOL
+            np.greater(step, slope, out=moved)
+            if not moved.any():
+                return iteration
+        return _MAX_NEWTON_STEPS
+
+
+def _interface_current(pack: np.ndarray, temperature: np.ndarray, scratch: _NewtonScratch) -> np.ndarray:
+    """Unsigned cell currents of a working set at ``temperature``.
+
+    Warm starts from ``pack[_W]`` clipped to the cold start and leaves the
+    new root there.
+    """
+    temperature = np.maximum(temperature, 1.0)
+    i_sat = pack[_NEG_BARRIER] / temperature
+    np.exp(i_sat, out=i_sat)
+    i_sat *= pack[_PREFACTOR]
+    i_sat *= temperature
+    i_sat *= temperature
+    ohmic_sat = pack[_ROHM] * i_sat
+    cold = np.divide(pack[_MAG], ohmic_sat)
+    np.arcsinh(cold, out=cold)
+    np.minimum(cold, pack[_LIMIT], out=cold)
+    w = pack[_W]
+    np.minimum(w, cold, out=w)
+    iterations = scratch.descend(w, ohmic_sat, pack[_VNL], pack[_MAG])
+    tel = get_telemetry()
+    if tel.enabled:
+        tel.count("mc.kernel.newton_iterations", iterations)
+    watchdog = get_watchdog()
+    if watchdog.enabled:
+        watchdog.check_iterations("mc.kernel.newton", iterations, _MAX_NEWTON_STEPS)
+    np.sinh(w, out=cold)
+    cold *= i_sat
+    return cold
+
+
+def _settle(
+    model: VectorizedJartVcm,
+    lanes,
+    voltage: np.ndarray,
+    x: np.ndarray,
+    base_temperature: np.ndarray,
+    scratch: _NewtonScratch,
+    tolerance_k: float = 0.05,
+    max_iterations: int = 200,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scalar solver's damped fixed point over ``lanes`` of ``model``.
+
+    Each lane leaves the working set as soon as its own convergence test
+    passes, then all lanes are recomputed at their settled temperature.
+    Returns ``(temperature, signed current, converged)``.
+    """
+    pack = _pack(model, lanes, voltage, x, base_temperature)
+    n = pack.shape[1]
+    converged = np.zeros(n, dtype=bool)
+    work, columns = pack, np.arange(n)
+    passes = 0
+    while passes < max_iterations:
+        passes += 1
+        temperature = work[_T]
+        power = _interface_current(work, temperature, scratch)
+        power *= work[_MAG]
+        target = work[_BASE] + work[_RTH] * power
+        new_temperature = temperature + _DAMPING * (target - temperature)
+        settled = np.abs(new_temperature - temperature) < tolerance_k
+        work[_T] = new_temperature
+        if settled.any():
+            finished = columns[settled]
+            pack[_T, finished] = work[_T, settled]
+            pack[_W, finished] = work[_W, settled]
+            converged[finished] = True
+            remaining = ~settled
+            if not remaining.any():
+                break
+            work, columns = work[:, remaining], columns[remaining]
+    pack[_T, columns] = work[_T]
+    pack[_W, columns] = work[_W]
+
+    # Final recompute at the settled temperature, as the scalar solver does
+    # on its converged return.
+    current = _interface_current(pack, pack[_T], scratch)
+    tel = get_telemetry()
+    if tel.enabled:
+        tel.count("mc.kernel.op_iterations", passes)
+    current[voltage <= 0.0] *= -1.0
+    return pack[_T].copy(), current, converged
+
+
+def _raise_unconverged(voltage: np.ndarray, x: np.ndarray, temperature: np.ndarray, converged: np.ndarray) -> None:
+    failed = np.flatnonzero(~converged)
+    lane = int(failed[0])
+    raise ConvergenceError(
+        f"filament temperature did not converge for V={voltage[lane]} V, x={x[lane]} "
+        f"(last T={temperature[lane]:.1f} K) in {failed.size} of {converged.size} lanes; "
+        "the bias point is likely in thermal runaway"
+    )
+
+
+# ----------------------------------------------------------------------
 # electro-thermal operating point
 # ----------------------------------------------------------------------
 
@@ -484,51 +678,21 @@ def solve_operating_point_batch(
     ambient = _lanes(ambient_temperature_k, n, "ambient_temperature_k")
     crosstalk = _lanes(crosstalk_temperature_k, n, "crosstalk_temperature_k")
 
-    temperature = ambient + crosstalk
-    rth = model.rth_eff_k_per_w
-    damping = 0.6
-    done = np.zeros(n, dtype=bool)
-    for _ in range(max_iterations):
-        if not done.any():
-            # Fast path while every lane is still iterating (the common case:
-            # similar devices converge after similar iteration counts).
-            sub, active = model, slice(None)
-        else:
-            lanes = np.flatnonzero(~done)
-            if lanes.size == 0:
-                break
-            sub, active = model.take(lanes), lanes
-        current = sub.current(voltage[active], x[active], temperature[active])
-        power = np.abs(voltage[active] * current)
-        target = ambient[active] + crosstalk[active] + rth[active] * power
-        new_temperature = temperature[active] + damping * (target - temperature[active])
-        converged_now = np.abs(new_temperature - temperature[active]) < tolerance_k
-        temperature[active] = new_temperature
-        done[active] = converged_now
-
-    if not done.all():
-        failed = np.flatnonzero(~done)
+    temperature, current, converged = _settle(
+        model, None, voltage, x, ambient + crosstalk, _NewtonScratch(n), tolerance_k, max_iterations
+    )
+    if not converged.all():
         if raise_on_failure:
-            lane = int(failed[0])
-            raise ConvergenceError(
-                f"filament temperature did not converge for V={voltage[lane]} V, x={x[lane]} "
-                f"(last T={temperature[lane]:.1f} K) in {failed.size} of {n} lanes; "
-                "the bias point is likely in thermal runaway"
-            )
-        logger.debug("operating-point solve left %d of %d lanes unconverged", failed.size, n)
-
-    # Final recompute at the settled temperature, as the scalar solver does on
-    # its converged return.
-    current = model.current(voltage, x, temperature)
-    power = np.abs(voltage * current)
+            _raise_unconverged(voltage, x, temperature, converged)
+        logger.debug("operating-point solve left %d of %d lanes unconverged", n - int(converged.sum()), n)
     return BatchOperatingPoint(
         voltage_v=voltage,
         current_a=current,
-        power_w=power,
+        power_w=np.abs(voltage * current),
         filament_temperature_k=temperature,
         ambient_temperature_k=ambient,
         crosstalk_temperature_k=crosstalk,
-        converged=done,
+        converged=converged,
     )
 
 
@@ -585,12 +749,13 @@ def time_to_switch_batch(
     time_s = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     stuck = np.zeros(n, dtype=bool)
+    base = ambient + crosstalk
+    scratch = _NewtonScratch(n)
 
-    initial = solve_operating_point_batch(
-        model, voltage, x, ambient, crosstalk, raise_on_failure=raise_on_failure
-    )
-    temperature = initial.filament_temperature_k.copy()
-    converged = initial.converged.copy()
+    # The cell current of the last thermal solve, valid while x has not moved.
+    temperature, current, converged = _settle(model, None, voltage, x, base, scratch)
+    if raise_on_failure and not converged.all():
+        _raise_unconverged(voltage, x, temperature, converged)
     x_at_last_thermal_solve = x.copy()
 
     # Lanes whose operating point never settles cannot be integrated; retire
@@ -605,17 +770,15 @@ def time_to_switch_batch(
 
         refresh = idx[np.abs(x[idx] - x_at_last_thermal_solve[idx]) > 0.25 * max_dx_per_step]
         if refresh.size:
-            solved = solve_operating_point_batch(
-                model.take(refresh),
-                voltage[refresh],
-                x[refresh],
-                ambient[refresh],
-                crosstalk[refresh],
-                raise_on_failure=raise_on_failure,
+            solved_t, solved_i, solved = _settle(
+                model, refresh, voltage[refresh], x[refresh], base[refresh], scratch
             )
-            temperature[refresh] = solved.filament_temperature_k
+            if raise_on_failure and not solved.all():
+                _raise_unconverged(voltage[refresh], x[refresh], solved_t, solved)
+            temperature[refresh] = solved_t
+            current[refresh] = solved_i
             x_at_last_thermal_solve[refresh] = x[refresh]
-            lost = refresh[~solved.converged]
+            lost = refresh[~solved]
             if lost.size:
                 converged[lost] = False
                 active[lost] = False
@@ -623,8 +786,14 @@ def time_to_switch_batch(
                 if idx.size == 0:
                     break
 
-        sub = model.take(idx)
-        rate = sub.state_derivative(voltage[idx], x[idx], temperature[idx])
+        # A lane that moved less than the refresh threshold (a step cut short
+        # by rounding) keeps its temperature but needs the current at its new
+        # state.
+        moved = idx[x[idx] != x_at_last_thermal_solve[idx]]
+        if moved.size:
+            current[moved] = model.take(moved).current(voltage[moved], x[moved], temperature[moved])
+
+        rate = _hopping_rate(model, idx, voltage[idx], x[idx], temperature[idx], current[idx])
         moving = ((rate > 0.0) & towards_set[idx]) | ((rate < 0.0) & ~towards_set[idx])
         blocked = (rate == 0.0) | ~moving
         # The bias cannot move these lanes towards the target at all: the

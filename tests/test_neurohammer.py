@@ -115,6 +115,43 @@ class TestNeuroHammerEngine:
         assert result.victim == (1, 2)
 
 
+
+class TestTransientFlipThreshold:
+    """``run_transient`` decides a flip against the configured threshold.
+
+    Each per-pulse simulator run decodes the victim's initial bit at 0.5, so
+    before the fix a victim that had passed 0.5 but not a raised threshold
+    read as a flip on the first step of the next pulse.
+    """
+
+    @staticmethod
+    def run_transient(threshold: float, max_pulses: int):
+        geometry = CrossbarGeometry(rows=3, columns=3, electrode_spacing_m=10e-9)
+        pattern = single_aggressor(geometry)
+        config = AttackConfig(
+            aggressors=[pattern.aggressors[0]],
+            victim=pattern.victim,
+            pulse=PulseConfig(length_s=50e-9),
+            ambient_temperature_k=373.0,
+            flip_threshold=threshold,
+        )
+        attack = NeuroHammer(CrossbarArray(geometry=geometry, ambient_temperature_k=373.0))
+        return attack.run_transient(pattern=pattern, config=config, max_pulses=max_pulses)
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.6, 0.8])
+    def test_reported_flip_reaches_the_threshold(self, threshold):
+        result = self.run_transient(threshold, max_pulses=60)
+        assert result.flipped
+        assert result.victim_final_x >= threshold
+
+    def test_victim_between_half_and_the_threshold_has_not_flipped(self):
+        past_half = self.run_transient(0.5, max_pulses=60).pulses + 1
+        result = self.run_transient(0.8, max_pulses=past_half)
+        assert 0.5 <= result.victim_final_x < 0.8
+        assert not result.flipped
+        assert result.pulses == past_half
+
+
 class TestAnalysisHelpers:
     def test_switching_rate_monotone_in_temperature(self, jart_model):
         assert switching_rate(jart_model, 0.525, 400.0) > switching_rate(jart_model, 0.525, 320.0)
