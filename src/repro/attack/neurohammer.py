@@ -49,7 +49,7 @@ from .patterns import AttackPattern, HammerPhase, single_aggressor
 Cell = Tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseOperatingPoint:
     """Electro-thermal conditions the victim experiences during one phase."""
 
@@ -176,6 +176,27 @@ class NeuroHammer:
     # fast quasi-static campaign
     # ------------------------------------------------------------------
 
+    def solve_phases(
+        self, pattern: AttackPattern, config: AttackConfig
+    ) -> Tuple[PhaseOperatingPoint, ...]:
+        """Prepare the array and solve the operating point of every phase.
+
+        The phase operating points depend on the pattern, the array, the
+        pulse amplitude, the bias scheme and the ambient temperature, but not
+        on the pulse length, duty cycle, flip threshold or pulse budget: the
+        quasi-static integration of :meth:`run` consumes them as constants.
+        """
+        if self.crossbar.ambient_temperature_k != config.ambient_temperature_k:
+            raise ConfigurationError(
+                "attack config ambient temperature does not match the crossbar; "
+                "build the CrossbarArray with the same ambient_temperature_k"
+            )
+        self.prepare(pattern)
+        return tuple(
+            self.phase_operating_point(pattern, phase, config.pulse.amplitude_v, config.bias_scheme)
+            for phase in pattern.phases
+        )
+
     def run(
         self,
         pattern: Optional[AttackPattern] = None,
@@ -185,25 +206,30 @@ class NeuroHammer:
         """Run a campaign with the fast quasi-static integrator.
 
         Either an explicit ``pattern`` or an :class:`AttackConfig` (whose
-        aggressors become a single simultaneous phase) must be given.
+        aggressors become a single simultaneous phase) must be given.  The
+        phases are solved once by :meth:`solve_phases`; the victim's state
+        is then integrated at those operating points.
         """
         config = config if config is not None else AttackConfig()
         if pattern is None:
             pattern = self._pattern_from_config(config)
         pattern.validate(self.crossbar.geometry)
-        if self.crossbar.ambient_temperature_k != config.ambient_temperature_k:
-            raise ConfigurationError(
-                "attack config ambient temperature does not match the crossbar; "
-                "build the CrossbarArray with the same ambient_temperature_k"
-            )
+        return self.integrate(pattern, config, self.solve_phases(pattern, config), max_dx_per_batch)
 
-        self.prepare(pattern)
+    def integrate(
+        self,
+        pattern: AttackPattern,
+        config: AttackConfig,
+        phase_points: Sequence[PhaseOperatingPoint],
+        max_dx_per_batch: float = 0.02,
+    ) -> AttackResult:
+        """Integrate the victim's state ODE at solved phase operating points.
+
+        Starts from the victim's state in the array (as :meth:`solve_phases`
+        prepared it) and applies whole hammer rounds in adaptive batches that
+        move the state by at most ``max_dx_per_batch``.
+        """
         pulse = config.pulse
-        phase_points = [
-            self.phase_operating_point(pattern, phase, pulse.amplitude_v, config.bias_scheme)
-            for phase in pattern.phases
-        ]
-
         model = self.crossbar.model
         ambient = config.ambient_temperature_k
         threshold = config.flip_threshold
@@ -216,15 +242,10 @@ class NeuroHammer:
         while x < threshold and pulses < config.max_pulses and progressed:
             progressed = False
             round_dx = 0.0
-            per_phase_dx: List[float] = []
             for point in phase_points:
-                rate, temperature = self._victim_rate(
-                    model, point, x, ambient
-                )
+                rate, temperature = self._victim_rate(model, point, x, ambient)
                 victim_temperature = max(victim_temperature, temperature)
-                dx = max(rate, 0.0) * pulse.length_s
-                per_phase_dx.append(dx)
-                round_dx += dx
+                round_dx += max(rate, 0.0) * pulse.length_s
             if round_dx <= 0.0:
                 break
             progressed = True
@@ -254,7 +275,7 @@ class NeuroHammer:
             wall_clock_s=pulses * pulse.period_s,
             victim_final_x=x,
             victim_temperature_k=victim_temperature,
-            phase_points=phase_points,
+            phase_points=list(phase_points),
             pulse_length_s=pulse.length_s,
             ambient_temperature_k=ambient,
         )

@@ -31,7 +31,7 @@ from ..circuit.drivers import FULL_SELECTED, classify_cells
 Cell = Tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HammerPhase:
     """A group of aggressors that are pulsed simultaneously."""
 
@@ -40,7 +40,7 @@ class HammerPhase:
     def __post_init__(self) -> None:
         if not self.aggressors:
             raise AttackError("a hammer phase needs at least one aggressor")
-        self.aggressors = tuple(tuple(cell) for cell in self.aggressors)
+        object.__setattr__(self, "aggressors", tuple(tuple(cell) for cell in self.aggressors))
 
 
 @dataclass

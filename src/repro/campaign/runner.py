@@ -26,13 +26,17 @@ tolerant (see :mod:`repro.faults`):
 from __future__ import annotations
 
 import contextlib
+import json
 import multiprocessing
 import os
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..attack.neurohammer import AttackResult, NeuroHammer
+from ..attack.neurohammer import AttackResult, NeuroHammer, PhaseOperatingPoint
+from ..attack.patterns import AttackPattern
 from ..circuit.crossbar import CrossbarArray
 from ..config import AttackConfig, SimulationConfig
 from ..errors import CampaignError, CampaignInterrupted, StoreError
@@ -175,11 +179,80 @@ def attack_result_to_dict(result: AttackResult) -> Dict[str, Any]:
     }
 
 
+#: Phase solves kept by the phase memo, least recently used first.  One
+#: pass of the Fig. 3a-3d campaigns needs 14 distinct keys.
+PHASE_MEMO_SIZE = 64
+
+#: ``AttackConfig`` fields that only the quasi-static integration reads
+#: (:meth:`NeuroHammer.integrate`), as paths into ``to_dict()``.  The memo key
+#: drops these and keeps everything else, so a field added later keys the
+#: memo by default: the worst case is a miss, never a wrong hit.
+KINETICS_ONLY_FIELDS = (
+    ("pulse", "length_s"),
+    ("pulse", "duty_cycle"),
+    ("flip_threshold",),
+    ("max_pulses",),
+)
+
+_phase_memo: "OrderedDict[str, Tuple[PhaseOperatingPoint, ...]]" = OrderedDict()
+_phase_memo_lock = threading.Lock()
+
+
+def phase_memo_key(simulation: SimulationConfig, attack: AttackConfig) -> str:
+    """Canonical JSON of both configs minus :data:`KINETICS_ONLY_FIELDS`."""
+    attack_fields = attack.to_dict()
+    for path in KINETICS_ONLY_FIELDS:
+        parent = attack_fields
+        for name in path[:-1]:
+            parent = parent[name]
+        del parent[path[-1]]
+    return json.dumps([simulation.to_dict(), attack_fields], sort_keys=True)
+
+
+def clear_phase_memo() -> None:
+    """Forget every memoized phase solve of this process."""
+    with _phase_memo_lock:
+        _phase_memo.clear()
+
+
+class _PhaseMemoHammer(NeuroHammer):
+    """A :class:`NeuroHammer` whose phase solves go through the phase memo.
+
+    A hit is bit-for-bit what a recompute gives: every attack point builds a
+    fresh crossbar whose solver starts from zero voltages, so the phase
+    solve is a pure function of the key.  The memo holds frozen records.
+    """
+
+    def __init__(self, crossbar: CrossbarArray, key: str):
+        super().__init__(crossbar)
+        self.key = key
+
+    def solve_phases(self, pattern: AttackPattern, config: AttackConfig) -> Tuple[PhaseOperatingPoint, ...]:
+        tel = get_telemetry()
+        with _phase_memo_lock:
+            points = _phase_memo.get(self.key)
+            if points is not None:
+                _phase_memo.move_to_end(self.key)
+        if points is not None:
+            tel.count("attack.phase_memo.hits")
+            self.prepare(pattern)
+            return points
+        tel.count("attack.phase_memo.misses")
+        points = super().solve_phases(pattern, config)
+        with _phase_memo_lock:
+            _phase_memo[self.key] = points
+            if len(_phase_memo) > PHASE_MEMO_SIZE:
+                _phase_memo.popitem(last=False)
+        return points
+
+
 def execute_attack_point(job: Dict[str, Any]) -> Dict[str, Any]:
     """Run one attack point: the campaign equivalent of ``hammer_once``.
 
     The crossbar is built from the point's simulation config at the attack's
     ambient temperature, and the fast quasi-static engine runs the attack.
+    Points that differ only in :data:`KINETICS_ONLY_FIELDS` (a pulse-length
+    sweep, say) share one phase solve through the process-level memo.
     """
     simulation = SimulationConfig.from_dict(job["simulation"])
     attack = AttackConfig.from_dict(job["attack"])
@@ -188,7 +261,7 @@ def execute_attack_point(job: Dict[str, Any]) -> Dict[str, Any]:
         wires=simulation.wires,
         ambient_temperature_k=attack.ambient_temperature_k,
     )
-    outcome = NeuroHammer(crossbar).run(config=attack)
+    outcome = _PhaseMemoHammer(crossbar, phase_memo_key(simulation, attack)).run(config=attack)
     return attack_result_to_dict(outcome)
 
 

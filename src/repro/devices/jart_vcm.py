@@ -42,6 +42,14 @@ from ..constants import (
 from ..errors import DeviceModelError
 from .base import DeviceState, MemristorModel
 
+#: Iteration cap of the Newton interface-current solve; the monotone convex
+#: residual converges in ~5 iterations, the cap is a backstop only.
+NEWTON_MAX_STEPS = 80
+
+#: Newton termination: the step moved ``w`` by no more than ~1 ulp.
+NEWTON_RTOL = 4e-16
+NEWTON_ATOL = 1e-300
+
 
 @dataclass
 class JartVcmParameters:
@@ -188,34 +196,47 @@ class JartVcmModel(MemristorModel):
         """Cell current [A], solving the internal series combination.
 
         The cell voltage splits between the nonlinear interface
-        ``V_int = V_nl * asinh(I / I_s)`` and the ohmic resistances; the
-        resulting scalar equation in I is monotone and solved by bisection
-        refined with Newton steps.
+        ``V_int = V_nl * asinh(I / I_s)`` and the ohmic resistances.  The
+        root is found by Newton descent in the interface coordinate
+        ``w = asinh(I / I_s)``, the algorithm (and expression order) of the
+        vectorized model's direct path: the residual
+        ``f(w) = V_nl * w + R_ohmic * I_s * sinh(w) - |V|`` is increasing and
+        convex for w >= 0, and the cold start
+        ``min(|V| / V_nl, asinh(|V| / (R_ohmic * I_s)))`` lies at or right of
+        the root (each bound drops one positive term), so every step descends
+        onto it.  Newton stops once a step moves ``w`` by no more than ~1 ulp.
         """
         self.check_voltage(voltage_v)
         if voltage_v == 0.0:
             return 0.0
+        p = self.parameters
         sign = 1.0 if voltage_v > 0.0 else -1.0
         magnitude = abs(voltage_v)
         x = self.clamp_state(state.x)
         temperature = max(state.filament_temperature_k, 1.0)
-        r_ohmic = self.ohmic_resistance(x)
-        i_sat = self.interface_saturation_current(x, temperature)
-        v_nl = self.parameters.interface_voltage_v
+        # Each parameter-only term once, in the vectorized direct path's order.
+        area = p.filament_area_m2
+        charge_mobility = p.charge_number * ELEMENTARY_CHARGE_C * p.electron_mobility_m2_per_vs
+        sigma = charge_mobility * (p.n_disc_min_per_m3 + x * (p.n_disc_max_per_m3 - p.n_disc_min_per_m3))
+        r_ohmic = (
+            p.disc_length_m / (sigma * area)
+            + p.plug_length_m / (charge_mobility * p.n_plug_per_m3 * area)
+            + p.series_resistance_ohm
+        )
+        barrier_ev = p.barrier_height_ev - p.barrier_lowering_ev * x
+        thermionic = RICHARDSON_A_PER_M2K2 * temperature ** 2 * area
+        i_sat = thermionic * math.exp(-barrier_ev / (BOLTZMANN_EV_PER_K * temperature))
+        v_nl = p.interface_voltage_v
 
-        def residual(current_a: float) -> float:
-            return v_nl * math.asinh(current_a / i_sat) + current_a * r_ohmic - magnitude
-
-        low, high = 0.0, magnitude / r_ohmic
-        # residual(low) = -magnitude < 0 and residual(high) >= 0, so the root
-        # is always bracketed; 60 bisection steps give ~1e-18 A resolution.
-        for _ in range(60):
-            mid = 0.5 * (low + high)
-            if residual(mid) > 0.0:
-                high = mid
-            else:
-                low = mid
-        return sign * 0.5 * (low + high)
+        ohmic_sat = r_ohmic * i_sat
+        w = min(magnitude / v_nl, math.asinh(magnitude / ohmic_sat))
+        for _ in range(NEWTON_MAX_STEPS):
+            step = (ohmic_sat * math.sinh(w) + v_nl * w - magnitude) / (v_nl + ohmic_sat * math.cosh(w))
+            w -= step
+            # A cold start descends, so every step is >= 0 up to rounding.
+            if not step > NEWTON_RTOL * w + NEWTON_ATOL:
+                break
+        return sign * i_sat * math.sinh(w)
 
     def interface_voltage(self, voltage_v: float, state: DeviceState) -> float:
         """Voltage drop across the nonlinear interface element [V] (signed)."""

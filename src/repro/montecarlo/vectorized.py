@@ -16,10 +16,13 @@ cells at once:
 
 The batched functions follow the scalar control flow *per lane* (same step
 sizes, same thermal-refresh policy, same fixed-point damping and termination
-rules); only the innermost interface-current root solve swaps the scalar's
-bisection for an equally-precise Newton descent.  Each lane therefore
-reproduces the scalar trajectory to floating-point noise; the test suite
-validates element-for-element agreement within 1e-9 relative tolerance.
+rules), and the innermost interface-current root solve is the same Newton
+descent as the scalar :meth:`~repro.devices.jart_vcm.JartVcmModel.current`
+(cold start, ~1-ulp stop rule and iteration cap shared with it).  Each lane
+therefore reproduces the scalar trajectory to floating-point noise (the
+scalar model's libm ``exp``/``sinh``/``asinh`` round differently from
+NumPy's by an ulp or two); the test suite validates element-for-element
+agreement within 1e-9 relative tolerance.
 
 The interface root is solved in the coordinate ``w = asinh(I / i_sat)``, where
 the residual ``f(w) = v_nl * w + r_ohmic * i_sat * sinh(w) - |V|`` is strictly
@@ -73,7 +76,7 @@ from ..constants import (
     RICHARDSON_A_PER_M2K2,
 )
 from ..devices.base import BatchedDeviceModel, MemristorModel
-from ..devices.jart_vcm import JartVcmParameters
+from ..devices.jart_vcm import NEWTON_ATOL, NEWTON_MAX_STEPS, NEWTON_RTOL, JartVcmParameters
 from ..errors import ConvergenceError, DeviceModelError
 from ..obs import get_telemetry, get_watchdog
 from ..utils.logging import get_logger
@@ -82,13 +85,11 @@ logger = get_logger("montecarlo.vectorized")
 
 ArrayLike = Union[float, np.ndarray]
 
-#: Iteration cap of the Newton interface-current solve; the monotone convex
-#: residual converges in ~5 iterations, the cap is a backstop only.
-_MAX_NEWTON_STEPS = 80
-
-#: Newton termination: no lane moved by more than ~1 ulp of its coordinate.
-_NEWTON_RTOL = 4e-16
-_NEWTON_ATOL = 1e-300
+#: Iteration cap and ~1-ulp termination of the Newton interface-current
+#: solve, shared with the scalar model.
+_MAX_NEWTON_STEPS = NEWTON_MAX_STEPS
+_NEWTON_RTOL = NEWTON_RTOL
+_NEWTON_ATOL = NEWTON_ATOL
 
 #: Overflow guard of the sinh field term (matches the scalar model).
 _MAX_FIELD_ARGUMENT = 50.0
@@ -227,15 +228,12 @@ class VectorizedJartVcm:
     # ------------------------------------------------------------------
 
     def current(self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray) -> np.ndarray:
-        """Lane currents [A]: the scalar model's root equation, solved batched.
+        """Lane currents [A]: the scalar model's root solve, batched.
 
-        The per-lane root equation is identical to ``JartVcmModel.current``
-        (``v_nl * asinh(I / i_sat) + I * r_ohmic = magnitude``), but instead
-        of sixty bisection steps the root is located by Newton descent in the
-        interface coordinate ``w`` from the cold start (see the module
-        docstring).  Both solvers resolve the root orders of magnitude beyond
-        the 1e-9 agreement budget of this module (the scalar bracket ends
-        2^-60 wide).
+        Per lane this is ``JartVcmModel.current`` in its expression order:
+        the root of ``v_nl * asinh(I / i_sat) + I * r_ohmic = magnitude`` by
+        Newton descent in the interface coordinate ``w`` from the cold start
+        (see the module docstring).
         """
         if np.any(np.abs(voltage_v) > 10.0):
             raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V in a lane")

@@ -77,12 +77,19 @@ def heartbeat_scope(writer: "HeartbeatWriter") -> Iterator["HeartbeatWriter"]:
         _active = previous
 
 
+#: Heartbeat fields that name the run and its size.  They change once or
+#: twice per run, so :meth:`HeartbeatWriter.update` writes them unthrottled.
+IDENTITY_FIELDS = frozenset({"run_id", "label", "spec_name", "total", "workers"})
+
+
 class HeartbeatWriter:
     """Writes an atomically-replaced progress file for concurrent readers.
 
     Writes are throttled to one per ``min_interval_s`` except for the first
-    write and :meth:`finish`, so per-point updates in a tight loop cost a
-    clock read, not a filesystem write.
+    write, :meth:`finish` and a change to the run's identity or size
+    (:data:`IDENTITY_FIELDS`), so per-point updates in a tight loop cost a
+    clock read, not a filesystem write, while a follower learns the total as
+    soon as the run knows it.
     """
 
     enabled = True
@@ -116,9 +123,17 @@ class HeartbeatWriter:
     # ------------------------------------------------------------------
 
     def update(self, **fields: Any) -> None:
-        """Merge progress fields and (throttled) rewrite the file."""
+        """Merge progress fields and rewrite the file.
+
+        The write is throttled unless an :data:`IDENTITY_FIELDS` value
+        changes.
+        """
+        force = any(
+            name in IDENTITY_FIELDS and self._state.get(name) != value
+            for name, value in fields.items()
+        )
         self._state.update(fields)
-        self._write()
+        self._write(force=force)
 
     def advance(self, n: int = 1, **fields: Any) -> None:
         """Increment ``done`` by ``n`` and merge any extra fields."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.runner import clear_phase_memo
 from repro.circuit import CrossbarArray
 from repro.config import CrossbarGeometry, PulseConfig, ThermalSolverConfig, WireParameters
 from repro.devices import JartVcmModel, LinearIonDriftModel
@@ -35,6 +36,21 @@ def _no_inherited_faults(monkeypatch):
     themselves via ``monkeypatch.setenv``.
     """
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_phase_memo():
+    """Start every test with an empty attack phase memo.
+
+    The memo (see :func:`repro.campaign.runner.execute_attack_point`) lives
+    for the whole process, so without this a test's attack points would hit
+    phase solves an earlier test filled in, and telemetry assertions about
+    solver work would depend on test order.  Isolation only: a hit is
+    bit-for-bit what a recompute gives.
+    """
+    clear_phase_memo()
+    yield
+    clear_phase_memo()
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import DeviceState, JartVcmModel, JartVcmParameters
 from repro.devices.thermal import solve_operating_point
 from repro.errors import DeviceModelError
+from repro.montecarlo.vectorized import VectorizedJartVcm
 
 
 class TestStateMapping:
@@ -43,6 +47,70 @@ class TestResistances:
 
     def test_ohmic_resistance_includes_series(self, jart_model):
         assert jart_model.ohmic_resistance(1.0) > jart_model.parameters.series_resistance_ohm
+
+
+def bisection_bracket(model, voltage_v, state):
+    """The former scalar root solver, kept as an oracle: 60 bisection steps.
+
+    Returns the final bracket ``(low, high)`` of the unsigned current.
+    """
+    p = model.parameters
+    magnitude = abs(voltage_v)
+    x = model.clamp_state(state.x)
+    temperature = max(state.filament_temperature_k, 1.0)
+    r_ohmic = model.ohmic_resistance(x)
+    i_sat = model.interface_saturation_current(x, temperature)
+
+    def residual(current_a):
+        return p.interface_voltage_v * math.asinh(current_a / i_sat) + current_a * r_ohmic - magnitude
+
+    low, high = 0.0, magnitude / r_ohmic
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        if residual(mid) > 0.0:
+            high = mid
+        else:
+            low = mid
+    return low, high
+
+
+def root_ulp(model, current_a, state):
+    """One ulp of the root coordinate ``w = asinh(I / I_s)``, in amperes.
+
+    Newton resolves ``w`` to ~1 ulp and ``I = I_s sinh(w)`` amplifies that
+    by the condition number ``w coth(w) <= max(1, w) + 1``; different libm
+    rounding of exp/sinh/asinh therefore moves the current by a few of these.
+    """
+    x = model.clamp_state(state.x)
+    i_sat = model.interface_saturation_current(x, max(state.filament_temperature_k, 1.0))
+    w = math.asinh(abs(current_a) / i_sat)
+    return float(np.spacing(abs(current_a))) * (1.0 + w)
+
+
+class TestNewtonRoot:
+    """The scalar current is the vectorized direct path's Newton root."""
+
+    ULPS = 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+        st.floats(0.0, 1.0),
+        st.floats(250.0, 700.0),
+    )
+    def test_matches_bisection_oracle_and_lanes(self, voltage, x, temperature):
+        model = JartVcmModel()
+        state = DeviceState(x, temperature)
+        current = model.current(voltage, state)
+        lane = float(VectorizedJartVcm(1).current(np.array([voltage]), np.array([x]), np.array([temperature]))[0])
+        if voltage == 0.0:
+            assert current == 0.0 and lane == 0.0
+            return
+        assert math.copysign(1.0, current) == math.copysign(1.0, voltage)
+        tolerance = self.ULPS * root_ulp(model, current, state)
+        assert abs(current - lane) <= tolerance
+        low, high = bisection_bracket(model, voltage, state)
+        assert low - tolerance <= abs(current) <= high + tolerance
 
 
 class TestCurrent:

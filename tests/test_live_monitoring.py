@@ -103,6 +103,23 @@ class TestHeartbeatWriter:
         assert state["done"] == 50
         assert state["seq"] == first + 1
 
+    def test_identity_and_total_bypass_the_throttle(self, tmp_path):
+        # A runner announces its spec, total and workers right after the
+        # forced first write; a follower must see them before the first
+        # throttled progress write, however fast the points run.
+        path = tmp_path / "hb.json"
+        writer = HeartbeatWriter(path, spec_name="sweep", min_interval_s=3600.0)
+        first = read_heartbeat(path)["seq"]
+        writer.update(spec_name="sweep", total=12, workers=2)
+        state = read_heartbeat(path)
+        assert state["seq"] == first + 1
+        assert (state["spec_name"], state["total"], state["workers"]) == ("sweep", 12, 2)
+        # Unchanged identity and plain progress stay throttled.
+        writer.update(spec_name="sweep", total=12)
+        writer.advance(1, cached=1)
+        assert read_heartbeat(path)["seq"] == first + 1
+        assert read_heartbeat(path)["done"] == 0
+
     def test_eta_extrapolates_remaining_points(self, tmp_path):
         writer = HeartbeatWriter(tmp_path / "hb.json", total=4, min_interval_s=0.0)
         time.sleep(0.01)
