@@ -31,17 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..config import AttackConfig, CrossbarGeometry, PulseConfig
+from ..config import AttackConfig, CrossbarGeometry, PulseConfig, WireParameters
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K, DEFAULT_SET_VOLTAGE_V
 from ..devices.base import DeviceState
+from ..devices.jart_vcm import JartVcmModel
 from ..devices.thermal import solve_operating_point
 from ..errors import AttackError, ConfigurationError
 from ..circuit.crossbar import CrossbarArray
-from ..circuit.drivers import BiasPattern, write_bias
+from ..circuit.drivers import write_bias
 from ..circuit.pulses import StimulusSchedule, StimulusSegment
 from ..circuit.transient import TransientSimulator
 from .patterns import AttackPattern, HammerPhase, single_aggressor
@@ -112,7 +111,13 @@ class AttackResult:
 
 
 class NeuroHammer:
-    """Drives NeuroHammer campaigns on a :class:`CrossbarArray`."""
+    """Drives NeuroHammer campaigns on a :class:`CrossbarArray`.
+
+    Without a ``crossbar``, the array (default JART model) is built on first
+    use from the remaining arguments.  :meth:`integrate` alone never builds
+    it, so a caller that already holds the phase operating points pays for
+    no array at all.
+    """
 
     def __init__(
         self,
@@ -120,14 +125,34 @@ class NeuroHammer:
         geometry: Optional[CrossbarGeometry] = None,
         ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K,
         crosstalk_backend: str = "auto",
+        wires: Optional[WireParameters] = None,
     ):
         if crossbar is None:
-            crossbar = CrossbarArray(
-                geometry=geometry,
-                ambient_temperature_k=ambient_temperature_k,
-                crosstalk_backend=crosstalk_backend,
+            if ambient_temperature_k <= 0:
+                raise ConfigurationError("ambient temperature must be positive")
+            self.geometry = geometry if geometry is not None else CrossbarGeometry()
+            self.model = JartVcmModel()
+            self.ambient_temperature_k = ambient_temperature_k
+        else:
+            self.geometry = crossbar.geometry
+            self.model = crossbar.model
+            self.ambient_temperature_k = crossbar.ambient_temperature_k
+        self._crossbar = crossbar
+        self._wires = wires
+        self._crosstalk_backend = crosstalk_backend
+
+    @property
+    def crossbar(self) -> CrossbarArray:
+        """The attacked array, built on first use."""
+        if self._crossbar is None:
+            self._crossbar = CrossbarArray(
+                geometry=self.geometry,
+                model=self.model,
+                wires=self._wires,
+                ambient_temperature_k=self.ambient_temperature_k,
+                crosstalk_backend=self._crosstalk_backend,
             )
-        self.crossbar = crossbar
+        return self._crossbar
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -186,7 +211,7 @@ class NeuroHammer:
         on the pulse length, duty cycle, flip threshold or pulse budget: the
         quasi-static integration of :meth:`run` consumes them as constants.
         """
-        if self.crossbar.ambient_temperature_k != config.ambient_temperature_k:
+        if self.ambient_temperature_k != config.ambient_temperature_k:
             raise ConfigurationError(
                 "attack config ambient temperature does not match the crossbar; "
                 "build the CrossbarArray with the same ambient_temperature_k"
@@ -213,7 +238,7 @@ class NeuroHammer:
         config = config if config is not None else AttackConfig()
         if pattern is None:
             pattern = self._pattern_from_config(config)
-        pattern.validate(self.crossbar.geometry)
+        pattern.validate(self.geometry)
         return self.integrate(pattern, config, self.solve_phases(pattern, config), max_dx_per_batch)
 
     def integrate(
@@ -226,14 +251,16 @@ class NeuroHammer:
         """Integrate the victim's state ODE at solved phase operating points.
 
         Starts from the victim's state in the array (as :meth:`solve_phases`
-        prepared it) and applies whole hammer rounds in adaptive batches that
-        move the state by at most ``max_dx_per_batch``.
+        prepared it; an array not built yet is pristine, the victim in HRS)
+        and applies whole hammer rounds in adaptive batches that move the
+        state by at most ``max_dx_per_batch``.
         """
         pulse = config.pulse
-        model = self.crossbar.model
+        model = self.model
         ambient = config.ambient_temperature_k
         threshold = config.flip_threshold
-        x = self.crossbar.get_state(pattern.victim).x
+        built = self._crossbar is not None
+        x = self._crossbar.get_state(pattern.victim).x if built else model.hrs_state(ambient).x
         pulses = 0
         stress_time = 0.0
         victim_temperature = ambient
@@ -264,7 +291,8 @@ class NeuroHammer:
             stress_time += rounds * len(phase_points) * pulse.length_s
 
         flipped = x >= threshold
-        self.crossbar.set_state(pattern.victim, x)
+        if built:
+            self._crossbar.set_state(pattern.victim, x)
         return AttackResult(
             pattern_name=pattern.name,
             victim=pattern.victim,
@@ -296,7 +324,7 @@ class NeuroHammer:
             crosstalk_temperature_k=point.victim_crosstalk_k,
         )
         state = DeviceState(x=x, filament_temperature_k=operating.filament_temperature_k)
-        rate = model.state_derivative(point.victim_voltage_v, state)
+        rate = model.state_derivative_at_current(point.victim_voltage_v, state, operating.current_a)
         return rate, operating.filament_temperature_k
 
     # ------------------------------------------------------------------
@@ -363,7 +391,7 @@ class NeuroHammer:
     # ------------------------------------------------------------------
 
     def _pattern_from_config(self, config: AttackConfig) -> AttackPattern:
-        geometry = self.crossbar.geometry
+        geometry = self.geometry
         if config.pattern is not None:
             from .patterns import standard_patterns
 

@@ -218,13 +218,16 @@ def clear_phase_memo() -> None:
 class _PhaseMemoHammer(NeuroHammer):
     """A :class:`NeuroHammer` whose phase solves go through the phase memo.
 
-    A hit is bit-for-bit what a recompute gives: every attack point builds a
-    fresh crossbar whose solver starts from zero voltages, so the phase
-    solve is a pure function of the key.  The memo holds frozen records.
+    A hit is bit-for-bit what a recompute gives: a miss solves on a fresh
+    crossbar whose solver starts from zero voltages, so the phase solve is a
+    pure function of the key.  A hit neither prepares nor, when the hammer
+    builds its own, builds the crossbar: the integration needs only the
+    model, the geometry and the victim's pristine state.  The memo holds
+    frozen records.
     """
 
-    def __init__(self, crossbar: CrossbarArray, key: str):
-        super().__init__(crossbar)
+    def __init__(self, crossbar: Optional[CrossbarArray], key: str, **hammer_args: Any):
+        super().__init__(crossbar, **hammer_args)
         self.key = key
 
     def solve_phases(self, pattern: AttackPattern, config: AttackConfig) -> Tuple[PhaseOperatingPoint, ...]:
@@ -235,7 +238,6 @@ class _PhaseMemoHammer(NeuroHammer):
                 _phase_memo.move_to_end(self.key)
         if points is not None:
             tel.count("attack.phase_memo.hits")
-            self.prepare(pattern)
             return points
         tel.count("attack.phase_memo.misses")
         points = super().solve_phases(pattern, config)
@@ -249,20 +251,21 @@ class _PhaseMemoHammer(NeuroHammer):
 def execute_attack_point(job: Dict[str, Any]) -> Dict[str, Any]:
     """Run one attack point: the campaign equivalent of ``hammer_once``.
 
-    The crossbar is built from the point's simulation config at the attack's
-    ambient temperature, and the fast quasi-static engine runs the attack.
-    Points that differ only in :data:`KINETICS_ONLY_FIELDS` (a pulse-length
-    sweep, say) share one phase solve through the process-level memo.
+    The fast quasi-static engine runs the attack on the point's simulation
+    config at the attack's ambient temperature.  Points that differ only in
+    :data:`KINETICS_ONLY_FIELDS` (a pulse-length sweep, say) share one phase
+    solve through the process-level memo; only a miss builds the crossbar.
     """
     simulation = SimulationConfig.from_dict(job["simulation"])
     attack = AttackConfig.from_dict(job["attack"])
-    crossbar = CrossbarArray(
+    hammer = _PhaseMemoHammer(
+        None,
+        phase_memo_key(simulation, attack),
         geometry=simulation.geometry,
         wires=simulation.wires,
         ambient_temperature_k=attack.ambient_temperature_k,
     )
-    outcome = _PhaseMemoHammer(crossbar, phase_memo_key(simulation, attack)).run(config=attack)
-    return attack_result_to_dict(outcome)
+    return attack_result_to_dict(hammer.run(config=attack))
 
 
 def execute_montecarlo_point(job: Dict[str, Any]) -> Dict[str, Any]:

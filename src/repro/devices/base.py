@@ -10,7 +10,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Tuple
+from typing import Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -286,6 +286,28 @@ class ScalarBatchedModel(BatchedDeviceModel):
         return out.reshape(x.shape)
 
 
+class ThermalLane:
+    """The T -> I evaluator of one cell at a fixed bias and state.
+
+    :func:`repro.devices.thermal.solve_operating_point` asks it for the cell
+    current at a sequence of filament temperatures.  This default calls
+    :meth:`MemristorModel.current`; a model with an iterative current solve
+    may return a subclass that hoists the state-only terms and warm starts.
+    """
+
+    #: Inner root-solve iterations spent so far (the default has none).
+    newton_iterations = 0
+
+    def __init__(self, model: "MemristorModel", voltage_v: float, x: float):
+        self.model = model
+        self.voltage_v = voltage_v
+        self.x = x
+
+    def current(self, temperature_k: float) -> float:
+        """Signed cell current [A] at filament temperature ``temperature_k``."""
+        return self.model.current(self.voltage_v, DeviceState(self.x, temperature_k))
+
+
 class MemristorModel(abc.ABC):
     """Behavioural compact model of a two-terminal memristive device.
 
@@ -352,25 +374,19 @@ class MemristorModel(abc.ABC):
     def state_derivative(self, voltage_v: float, state: DeviceState) -> float:
         """Time derivative of the normalised state dx/dt [1/s]."""
 
-    def dissipated_power(self, voltage_v: float, state: DeviceState) -> float:
-        """Joule power dissipated in the cell [W]."""
-        return abs(voltage_v * self.current(voltage_v, state))
-
-    def update_temperature(
-        self,
-        voltage_v: float,
-        state: DeviceState,
-        ambient_temperature_k: float,
-        crosstalk_temperature_k: float = 0.0,
+    def state_derivative_at_current(
+        self, voltage_v: float, state: DeviceState, current_a: float
     ) -> float:
-        """Return the quasi-static filament temperature [K] (paper Eq. 6).
+        """dx/dt [1/s] given the cell current already solved at ``state``.
 
-        ``crosstalk_temperature_k`` is the *additional* temperature delivered
-        by the crosstalk hub (Eq. 5), i.e. the temperature rise caused by the
-        neighbouring cells' dissipation.
+        Lets a caller that just settled the operating point hand its current
+        over; this default ignores it.
         """
-        rise = self.thermal_resistance_k_per_w() * self.dissipated_power(voltage_v, state)
-        return ambient_temperature_k + crosstalk_temperature_k + rise
+        return self.state_derivative(voltage_v, state)
+
+    def thermal_lane(self, voltage_v: float, x: float) -> ThermalLane:
+        """The T -> I evaluator of one cell at bias ``voltage_v`` and state ``x``."""
+        return ThermalLane(self, voltage_v, x)
 
     def thermal_resistance_k_per_w(self) -> float:
         """Effective thermal resistance R_th,eff of the cell [K/W] (Eq. 6)."""

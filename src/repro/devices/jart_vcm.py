@@ -40,7 +40,7 @@ from ..constants import (
     RICHARDSON_A_PER_M2K2,
 )
 from ..errors import DeviceModelError
-from .base import DeviceState, MemristorModel
+from .base import DeviceState, MemristorModel, ThermalLane
 
 #: Iteration cap of the Newton interface-current solve; the monotone convex
 #: residual converges in ~5 iterations, the cap is a backstop only.
@@ -263,11 +263,17 @@ class JartVcmModel(MemristorModel):
 
     def state_derivative(self, voltage_v: float, state: DeviceState) -> float:
         """dx/dt from thermally activated, field-accelerated ion hopping."""
+        return self.state_derivative_at_current(voltage_v, state, self.current(voltage_v, state))
+
+    def state_derivative_at_current(
+        self, voltage_v: float, state: DeviceState, current_a: float
+    ) -> float:
+        """dx/dt of :meth:`state_derivative` from an already solved cell current."""
         if voltage_v == 0.0:
             return 0.0
         p = self.parameters
         temperature = max(state.filament_temperature_k, 1.0)
-        v_drive = self.driving_voltage(voltage_v, state)
+        v_drive = voltage_v - current_a * (self.plug_resistance() + p.series_resistance_ohm)
         field_argument = p.field_coefficient_k_per_v * abs(v_drive) / temperature
         # Guard against overflow for pathological inputs; sinh(50) ~ 2.6e21
         # already corresponds to instantaneous switching.
@@ -284,6 +290,11 @@ class JartVcmModel(MemristorModel):
         if state.x <= 0.0:
             return 0.0
         return -rate
+
+    def thermal_lane(self, voltage_v: float, x: float) -> "JartThermalLane":
+        """The one-lane twin of the vectorized kernel path (see :class:`JartThermalLane`)."""
+        self.check_voltage(voltage_v)
+        return JartThermalLane(self.parameters, voltage_v, self.clamp_state(x))
 
     def thermal_resistance_k_per_w(self) -> float:
         """Effective thermal resistance R_th,eff of the cell [K/W] (Eq. 6)."""
@@ -316,3 +327,46 @@ class JartVcmModel(MemristorModel):
     def resistance_window(self, read_voltage_v: float = 0.2) -> float:
         """HRS/LRS resistance ratio at the read voltage."""
         return self.hrs_resistance_ohm(read_voltage_v) / self.lrs_resistance_ohm(read_voltage_v)
+
+
+class JartThermalLane(ThermalLane):
+    """One lane of the vectorized kernel path: ``I(T)`` at a fixed bias and state.
+
+    The scalar twin of ``_pack``/``_interface_current`` in
+    :mod:`repro.montecarlo.vectorized`, term for term: the state-only terms
+    once, the regrouped saturation current, and Newton warm started from the
+    previous root clipped to the cold start, stopping on ``|step|`` (see that
+    module's docstring for why the warm start never takes longer).
+    """
+
+    def __init__(self, p: JartVcmParameters, voltage_v: float, x: float):
+        self.magnitude = abs(voltage_v)
+        self.sign = 1.0 if voltage_v > 0.0 else -1.0
+        self.v_nl = p.interface_voltage_v
+        self.limit = self.magnitude / self.v_nl
+        # The vectorized model's lane constants, in its expression order.
+        area = math.pi * p.filament_radius_m**2
+        charge_mobility = p.charge_number * ELEMENTARY_CHARGE_C * p.electron_mobility_m2_per_vs
+        plug_series = p.plug_length_m / (charge_mobility * p.n_plug_per_m3 * area) + p.series_resistance_ohm
+        concentration = p.n_disc_min_per_m3 + x * (p.n_disc_max_per_m3 - p.n_disc_min_per_m3)
+        self.r_ohmic = p.disc_length_m / (charge_mobility * area) / concentration + plug_series
+        self.neg_barrier_k = (p.barrier_lowering_ev * x - p.barrier_height_ev) / BOLTZMANN_EV_PER_K
+        self.prefactor = RICHARDSON_A_PER_M2K2 * area
+        self.w = math.inf
+        self.newton_iterations = 0
+
+    def current(self, temperature_k: float) -> float:
+        sinh, cosh = math.sinh, math.cosh
+        temperature = max(temperature_k, 1.0)
+        i_sat = math.exp(self.neg_barrier_k / temperature) * self.prefactor * temperature * temperature
+        ohmic_sat = self.r_ohmic * i_sat
+        v_nl, magnitude = self.v_nl, self.magnitude
+        w = min(self.w, math.asinh(magnitude / ohmic_sat), self.limit)
+        for iteration in range(1, NEWTON_MAX_STEPS + 1):
+            step = (v_nl * w + ohmic_sat * sinh(w) - magnitude) / (ohmic_sat * cosh(w) + v_nl)
+            w -= step
+            if not abs(step) > w * NEWTON_RTOL + NEWTON_ATOL:
+                break
+        self.w = w
+        self.newton_iterations += iteration
+        return self.sign * (sinh(w) * i_sat)

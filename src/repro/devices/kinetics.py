@@ -50,24 +50,6 @@ class StateTrajectoryPoint:
     rate_per_s: float
 
 
-def _biased_temperature(
-    model: MemristorModel,
-    voltage_v: float,
-    x: float,
-    ambient_temperature_k: float,
-    crosstalk_temperature_k: float,
-) -> float:
-    """Self-consistent filament temperature for the given bias and state."""
-    point = solve_operating_point(
-        model,
-        voltage_v,
-        x,
-        ambient_temperature_k=ambient_temperature_k,
-        crosstalk_temperature_k=crosstalk_temperature_k,
-    )
-    return point.filament_temperature_k
-
-
 def time_to_switch(
     model: MemristorModel,
     voltage_v: float,
@@ -109,21 +91,24 @@ def time_to_switch(
     steps = 0
     # Re-solving the electro-thermal operating point every step would be
     # wasteful: the temperature only moves when the state does.  Refresh it
-    # whenever the state has moved by more than a quarter step bound.
-    temperature = _biased_temperature(
-        model, voltage_v, x, ambient_temperature_k, crosstalk_temperature_k
-    )
+    # whenever the state has moved by more than a quarter step bound, and
+    # take the rate from the current it settled at.
+    point = solve_operating_point(model, voltage_v, x, ambient_temperature_k, crosstalk_temperature_k)
+    temperature, current_a = point.filament_temperature_k, point.current_a
     x_at_last_thermal_solve = x
 
     while time_s < max_time_s:
         steps += 1
         if abs(x - x_at_last_thermal_solve) > 0.25 * max_dx_per_step:
-            temperature = _biased_temperature(
-                model, voltage_v, x, ambient_temperature_k, crosstalk_temperature_k
-            )
+            point = solve_operating_point(model, voltage_v, x, ambient_temperature_k, crosstalk_temperature_k)
+            temperature, current_a = point.filament_temperature_k, point.current_a
             x_at_last_thermal_solve = x
         state = DeviceState(x=x, filament_temperature_k=temperature)
-        rate = model.state_derivative(voltage_v, state)
+        if x != x_at_last_thermal_solve:
+            # A step short of the refresh threshold keeps the temperature but
+            # needs the current at the new state.
+            current_a = model.current(voltage_v, state)
+        rate = model.state_derivative_at_current(voltage_v, state, current_a)
         if record is not None:
             record.append(StateTrajectoryPoint(time_s, x, temperature, rate))
         moving_towards_target = (rate > 0 and towards_set) or (rate < 0 and not towards_set)

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K
 from ..errors import ConvergenceError
-from .base import DeviceState, MemristorModel
+from ..obs import get_telemetry, get_watchdog
+from .base import MemristorModel
+
+#: Damping of the fixed-point update (shared with the vectorized kernel).
+DAMPING = 0.6
 
 
 @dataclass
@@ -50,36 +54,45 @@ def solve_operating_point(
     """Solve the self-consistent filament temperature of a biased cell.
 
     Fixed-point iteration on ``T = T_amb + dT_crosstalk + Rth_eff * P(V, x, T)``
-    with damping; raises :class:`ConvergenceError` if the iteration does not
-    settle (which indicates thermal runaway beyond the model validity).
+    with damping, evaluating the current through the model's
+    :meth:`~repro.devices.base.MemristorModel.thermal_lane`; the returned
+    current is recomputed at the settled temperature.  Raises
+    :class:`ConvergenceError` if the iteration does not settle (which
+    indicates thermal runaway beyond the model validity).
     """
-    temperature = ambient_temperature_k + crosstalk_temperature_k
-    state = DeviceState(x=x, filament_temperature_k=temperature)
+    base = ambient_temperature_k + crosstalk_temperature_k
+    lane = model.thermal_lane(voltage_v, x)
+    current = lane.current
     rth = model.thermal_resistance_k_per_w()
-    damping = 0.6
-    current_a = model.current(voltage_v, state)
-    for _ in range(max_iterations):
-        current_a = model.current(voltage_v, state)
-        power_w = abs(voltage_v * current_a)
-        target = ambient_temperature_k + crosstalk_temperature_k + rth * power_w
-        new_temperature = temperature + damping * (target - temperature)
-        if abs(new_temperature - temperature) < tolerance_k:
-            state.filament_temperature_k = new_temperature
-            current_a = model.current(voltage_v, state)
-            power_w = abs(voltage_v * current_a)
-            return ThermalOperatingPoint(
-                voltage_v=voltage_v,
-                current_a=current_a,
-                power_w=power_w,
-                filament_temperature_k=new_temperature,
-                ambient_temperature_k=ambient_temperature_k,
-                crosstalk_temperature_k=crosstalk_temperature_k,
-            )
+    temperature = base
+    passes, settled = 0, False
+    for passes in range(1, max_iterations + 1):
+        target = base + rth * abs(voltage_v * current(temperature))
+        new_temperature = temperature + DAMPING * (target - temperature)
+        settled = abs(new_temperature - temperature) < tolerance_k
         temperature = new_temperature
-        state.filament_temperature_k = temperature
-    raise ConvergenceError(
-        f"filament temperature did not converge for V={voltage_v} V, x={x} "
-        f"(last T={temperature:.1f} K); the bias point is likely in thermal runaway"
+        if settled:
+            current_a = current(temperature)
+            break
+    tel = get_telemetry()
+    if tel.enabled:
+        tel.count("devices.op_iterations", passes)
+        tel.count("devices.newton_iterations", lane.newton_iterations)
+    watchdog = get_watchdog()
+    if watchdog.enabled:
+        watchdog.check_iterations("devices.operating_point", passes, max_iterations)
+    if not settled:
+        raise ConvergenceError(
+            f"filament temperature did not converge for V={voltage_v} V, x={x} "
+            f"(last T={temperature:.1f} K); the bias point is likely in thermal runaway"
+        )
+    return ThermalOperatingPoint(
+        voltage_v=voltage_v,
+        current_a=current_a,
+        power_w=abs(voltage_v * current_a),
+        filament_temperature_k=temperature,
+        ambient_temperature_k=ambient_temperature_k,
+        crosstalk_temperature_k=crosstalk_temperature_k,
     )
 
 

@@ -58,7 +58,10 @@ once per population in :class:`VectorizedJartVcm` and carried through
   never longer.  Any start left of the root still converges (it ascends
   once), which is why this path's stop rule tests ``|step|``.  The kinetics
   integrator takes the cell current of each thermal refresh instead of
-  solving it again at the identical ``(V, x, T)``.
+  solving it again at the identical ``(V, x, T)``.  The scalar
+  :func:`~repro.devices.thermal.solve_operating_point` runs this path one
+  lane at a time (:class:`~repro.devices.jart_vcm.JartThermalLane`), and the
+  scalar integrators hand its current over the same way.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from ..constants import (
 )
 from ..devices.base import BatchedDeviceModel, MemristorModel
 from ..devices.jart_vcm import NEWTON_ATOL, NEWTON_MAX_STEPS, NEWTON_RTOL, JartVcmParameters
+from ..devices.thermal import DAMPING as _DAMPING
 from ..errors import ConvergenceError, DeviceModelError
 from ..obs import get_telemetry, get_watchdog
 from ..utils.logging import get_logger
@@ -94,8 +98,6 @@ _NEWTON_ATOL = NEWTON_ATOL
 #: Overflow guard of the sinh field term (matches the scalar model).
 _MAX_FIELD_ARGUMENT = 50.0
 
-#: Damping of the electro-thermal fixed point (matches the scalar solver).
-_DAMPING = 0.6
 
 _PARAMETER_FIELDS = tuple(f.name for f in fields(JartVcmParameters))
 

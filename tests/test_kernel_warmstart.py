@@ -8,7 +8,8 @@ Three guarantees of :mod:`repro.montecarlo.vectorized`:
   the kernel makes (the temperature only rises within one fixed point);
 * a population whose lanes settle after different fixed-point iteration
   counts (so the active set shrinks) agrees with the scalar solver lane for
-  lane at 1e-9;
+  lane at 1e-9, and the scalar solver runs each lane's fixed point, pass for
+  pass, to 1e-12;
 * the direct path (``JartArrayModel.current``), which the crossbar Newton and
   the transient engine differentiate numerically, keeps the seed expression
   order bit for bit.
@@ -27,7 +28,8 @@ from repro.constants import (
     ELEMENTARY_CHARGE_C,
     RICHARDSON_A_PER_M2K2,
 )
-from repro.devices import JartVcmModel, solve_operating_point, time_to_switch
+from repro.devices import DeviceState, JartVcmModel, solve_operating_point, time_to_switch
+from repro.errors import ConvergenceError
 from repro.montecarlo import vectorized
 from repro.montecarlo.vectorized import (
     JartArrayModel,
@@ -149,6 +151,27 @@ class TestShrinkingActiveSet:
             assert relative_error(batch.current_a[k], scalar.current_a) <= RTOL
             assert relative_error(batch.power_w[k], scalar.power_w) <= RTOL
 
+    def test_scalar_settle_is_one_lane_of_the_kernel(self):
+        """The scalar solve runs the lane's passes and its hand-over current
+        gives the rate ``state_derivative`` solves for itself."""
+        model, voltage, x, ambient, crosstalk = self.population()
+        for k in range(model.n):
+            with telemetry_capture() as tel:
+                lane = solve_operating_point_batch(model.take([k]), voltage[k], x[k], ambient[k], crosstalk[k])
+            scalar_model = JartVcmModel(model.scalar_parameters(k))
+            with telemetry_capture() as scalar_tel:
+                scalar = solve_operating_point(scalar_model, voltage[k], x[k], ambient[k], crosstalk[k])
+            passes = scalar_tel.counter_value("devices.op_iterations")
+            assert passes == tel.counter_value("mc.kernel.op_iterations"), k
+            assert scalar_tel.counter_value("devices.newton_iterations") > passes
+            assert relative_error(scalar.filament_temperature_k, lane.filament_temperature_k[0]) <= 1e-12
+            assert relative_error(scalar.current_a, lane.current_a[0]) <= 1e-12
+            assert relative_error(scalar.power_w, lane.power_w[0]) <= 1e-12
+
+            state = DeviceState(x[k], scalar.filament_temperature_k)
+            handed_over = scalar_model.state_derivative_at_current(voltage[k], state, scalar.current_a)
+            assert relative_error(handed_over, scalar_model.state_derivative(voltage[k], state)) <= 1e-12
+
     def test_step_short_of_the_refresh_threshold_takes_a_fresh_current(self):
         """This reset lane lands one rounding error short of its target and
         takes a final sub-threshold step with no thermal refresh."""
@@ -170,6 +193,16 @@ class TestKernelObservability:
         events = tel.snapshot()["events"]["numerics.iteration_pressure"]
         assert {event["stage"] for event in events} == {"mc.kernel.newton"}
         assert all(event["limit"] == 3 for event in events)
+
+    def test_scalar_pass_budget_pressure_reaches_the_watchdog(self):
+        with telemetry_capture() as tel, numerics_capture():
+            with pytest.raises(ConvergenceError):
+                solve_operating_point(JartVcmModel(), 1.05, 1.0, max_iterations=3)
+        events = tel.snapshot()["events"]["numerics.iteration_pressure"]
+        assert [(event["stage"], event["iterations"], event["limit"]) for event in events] == [
+            ("devices.operating_point", 3, 3)
+        ]
+        assert tel.counter_value("devices.op_iterations") == 3
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ cycle, flip threshold, pulse budget) share one electro-thermal phase solve.
 These tests pin the three properties that make that safe:
 
 * a memo hit is bit-for-bit what a recompute gives, on the Fig. 3a-3d
-  campaigns;
+  campaigns, and builds no crossbar;
 * every other configuration field keys the memo, so changing it misses;
 * the memo stays within its bound and callers cannot reach its entries.
 """
@@ -108,6 +108,25 @@ class TestHitsEqualRecomputes:
             payload = runner.execute_attack_point(_job(simulation, attack))
         assert tel.counter_value("attack.phase_memo.hits") == 1
         assert payload["flipped"] and payload["pulses"] == 5655
+
+
+class TestHitsBuildNoCrossbar:
+    def test_pulse_length_sweep_builds_one_crossbar(self, monkeypatch):
+        built = []
+        original = CrossbarArray.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CrossbarArray, "__init__", counting_init)
+        spec = fig3a_pulse_length.campaign_spec(pulse_lengths_s=[k * 10 * NS for k in range(1, 11)])
+        with telemetry_capture() as tel:
+            results = _results([spec], runner.run_campaign_job)
+        assert len(results) == 10 and all(result["flipped"] for result in results)
+        assert len(built) == 1
+        assert tel.counter_value("attack.phase_memo.hits") == 9
+        assert tel.counter_value("attack.phase_memo.misses") == 1
 
 
 def _leaf_paths(tree, prefix=()):
